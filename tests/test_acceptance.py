@@ -6,6 +6,7 @@ lines and recorded measurements.
 
 import functools
 import gc
+import hashlib
 import math
 import random
 import time
@@ -159,6 +160,13 @@ def test_criterion_3_boundary_squared_zero():
 
 # --- 4: watertight models at default parameters -------------------------------
 
+# SHA-256 of each default model's binary STL; output bytes are the contract
+DEFAULT_STL_SHA256 = {
+    SurfaceKind.TORUS: "c5e6183503e36a7308d4616102c6342ce3fe238ebc8d3b561bed5dbe8a98ea97",
+    SurfaceKind.KLEIN: "bd45062d9e31c134a49438e70eb90f855ff774bc8802532bfc337129fc6c1feb",
+    SurfaceKind.ROMAN: "a8f2ad220a3b5956e8f856d43e2823b826f8e2175c543e8be6bd2193f25d6fd2",
+}
+
 
 @criterion(4, "default models watertight with stable round-trip verdict")
 def test_criterion_4_watertight_defaults(tmp_path):
@@ -171,6 +179,7 @@ def test_criterion_4_watertight_defaults(tmp_path):
         assert np.all(report.euler_characteristic_per_component == 2), kind
         data = write_stl(mesh, "binary")
         assert len(data) == 84 + 50 * mesh.triangle_count
+        assert hashlib.sha256(data).hexdigest() == DEFAULT_STL_SHA256[kind], kind
         del mesh
         gc.collect()
         path = tmp_path / f"{kind.value}.stl"

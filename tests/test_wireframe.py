@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -223,6 +224,28 @@ def test_build_components_all_closed():
         assert report.all_watertight
         assert report.all_edge_manifold
         assert np.all(report.euler_characteristic_per_component == 2)
+
+
+@pytest.mark.parametrize(
+    "kind, grid, density, res, legacy, fmt, digest",
+    [
+        (SurfaceKind.KLEIN, (6, 8), 2, 8, True, "binary",
+         "54f31e77dd90495bd6fbafdbdddbbbc8001a32e1b31330df41d166a4d563d146"),
+        # the benchmark's draft-ascii-roman file at seed 0
+        (SurfaceKind.ROMAN, (16, 32), 2, 6, False, "ascii",
+         "8d50cdf941b7f3dca137341391313bdd78d455e33dfa710acfad113f9eb4edd9"),
+        # lat_ribs % 4 == 0 puts grid columns on the pinch circle: spheres
+        (SurfaceKind.ROMAN, (4, 4), 1, 4, False, "binary",
+         "3cfbb11e7687c0267dbfabf82eb44df3cf13172ba7f3500a047e0a69563a2546"),
+    ],
+)
+def test_draft_stl_golden_hashes(kind, grid, density, res, legacy, fmt, digest):
+    surface = SurfaceParams(kind, lat_ribs=grid[0], long_ribs=grid[1])
+    thickness = 1.0 if grid == (4, 4) else 1.2
+    spec = WireframeSpec(surface, outer_density=density, inner_density=density,
+                         thickness=thickness, capsule_resolution=res)
+    data = write_stl(build_wireframe(spec, legacy), fmt)
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_build_deterministic_bytes():
