@@ -12,6 +12,7 @@ between interior samples of the paired fibers.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def min_interior_distance(params: SurfaceParams, per_step: int, columns) -> floa
 def junction_separation(params: SurfaceParams) -> float:
     start = klein_point(0, 0, params)
     end = klein_point(0, params.long_ribs, params)
-    return start.distance(end)
+    return math.dist(start, end)
 
 
 def main() -> int:

@@ -2,14 +2,12 @@
 with STL output, watertightness validation and integer simplicial homology."""
 
 from .geom import (
-    RotationMatrix,
     SurfaceKind,
     SurfaceParams,
     Vec3,
     half_lemniscate,
     klein_point,
     roman_point,
-    rotation,
     steiner_map,
     surface_point,
     torus_point,
@@ -28,11 +26,8 @@ from .topology import (
     verify_exact,
 )
 from .wireframe import (
-    Capsule,
-    Segment,
     WireframeSpec,
     build_wireframe,
-    capsule_mesh,
     plan_segments,
 )
 

@@ -1,4 +1,4 @@
-"""Surface parametrizations and the small vector/rotation algebra they need.
+"""Surface parametrizations and the small vector algebra they need.
 
 Angles are degrees throughout.  Trigonometry goes through :func:`cosd` /
 :func:`sind`, which reduce the argument modulo 360 before converting to
@@ -6,6 +6,11 @@ radians and return exact values at multiples of 90 degrees.  Both choices
 matter beyond accuracy: grid evaluations separated by a full period come out
 bit-identical, so downstream welding and closure checks see exact
 coincidence instead of last-ulp noise.
+
+Every point function takes scalar or numpy-array parameters (i, j); arrays
+broadcast and give a :class:`Vec3` of arrays.  Array angles still go through
+the scalar trig code, so a grid evaluation equals pointwise evaluation bit
+for bit.
 """
 
 from __future__ import annotations
@@ -13,16 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import wraps
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "Vec3",
-    "RotationMatrix",
     "SurfaceKind",
     "SurfaceParams",
     "cosd",
     "sind",
-    "rotation",
     "torus_point",
     "half_lemniscate",
     "klein_point",
@@ -41,6 +47,21 @@ def _reduce_degrees(a: float) -> float:
     return r
 
 
+def _per_distinct_angle(f):
+    """Let a scalar degree function take arrays: each distinct angle is
+    evaluated once by ``f`` and gathered back into place."""
+
+    @wraps(f)
+    def g(a):
+        if np.ndim(a) == 0:
+            return f(a)
+        angles, where = np.unique(a, return_inverse=True)
+        return np.array([f(float(x)) for x in angles])[where].reshape(np.shape(a))
+
+    return g
+
+
+@_per_distinct_angle
 def cosd(a: float) -> float:
     """Cosine of an angle in degrees, exact at multiples of 90."""
     r = _reduce_degrees(a)
@@ -53,6 +74,7 @@ def cosd(a: float) -> float:
     return math.cos(math.radians(r))
 
 
+@_per_distinct_angle
 def sind(a: float) -> float:
     """Sine of an angle in degrees, exact at multiples of 90."""
     r = _reduce_degrees(a)
@@ -66,7 +88,10 @@ def sind(a: float) -> float:
 
 
 class Vec3(NamedTuple):
-    """Point or vector in R^3, coordinates in millimeters."""
+    """Point or vector in R^3, coordinates in millimeters.
+
+    Coordinates may also be numpy arrays, making the Vec3 a grid of points.
+    """
 
     x: float
     y: float
@@ -75,87 +100,8 @@ class Vec3(NamedTuple):
     def __add__(self, other: "Vec3") -> "Vec3":  # type: ignore[override]
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
 
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
     def scaled(self, s: float) -> "Vec3":
         return Vec3(self.x * s, self.y * s, self.z * s)
-
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
-    def distance(self, other: "Vec3") -> float:
-        return (self - other).norm()
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
-
-@dataclass(frozen=True)
-class RotationMatrix:
-    """3x3 rotation acting on column vectors."""
-
-    rows: tuple[tuple[float, float, float], ...]
-
-    def apply(self, v: Vec3) -> Vec3:
-        r = self.rows
-        return Vec3(
-            r[0][0] * v.x + r[0][1] * v.y + r[0][2] * v.z,
-            r[1][0] * v.x + r[1][1] * v.y + r[1][2] * v.z,
-            r[2][0] * v.x + r[2][1] * v.y + r[2][2] * v.z,
-        )
-
-    def __matmul__(self, other: "RotationMatrix") -> "RotationMatrix":
-        a, b = self.rows, other.rows
-        return RotationMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                for i in range(3)
-            )
-        )
-
-    def transpose(self) -> "RotationMatrix":
-        r = self.rows
-        return RotationMatrix(tuple(tuple(r[j][i] for j in range(3)) for i in range(3)))
-
-    def determinant(self) -> float:
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-
-    def orthogonality_error(self) -> float:
-        """max |R^T R - I| over entries."""
-        rt = self.transpose()
-        prod = (rt @ self).rows
-        return max(
-            abs(prod[i][j] - (1.0 if i == j else 0.0))
-            for i in range(3)
-            for j in range(3)
-        )
-
-
-def rotation(ax: float, ay: float, az: float) -> RotationMatrix:
-    """Rotation by ax, ay, az degrees about x, y, z, composed as Rz @ Ry @ Rx."""
-    cx, sx = cosd(ax), sind(ax)
-    cy, sy = cosd(ay), sind(ay)
-    cz, sz = cosd(az), sind(az)
-    rx = RotationMatrix(((1.0, 0.0, 0.0), (0.0, cx, -sx), (0.0, sx, cx)))
-    ry = RotationMatrix(((cy, 0.0, sy), (0.0, 1.0, 0.0), (-sy, 0.0, cy)))
-    rz = RotationMatrix(((cz, -sz, 0.0), (sz, cz, 0.0), (0.0, 0.0, 1.0)))
-    return rz @ ry @ rx
 
 
 class SurfaceKind(Enum):
@@ -186,6 +132,9 @@ class SurfaceParams:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, SurfaceKind):
             raise ValueError(f"kind must be a SurfaceKind, got {self.kind!r}")
+        for name in ("outer_radius", "inner_radius", "amplitude", "phase_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lat_ribs < 3:
             raise ValueError(f"lat_ribs must be >= 3, got {self.lat_ribs}")
         if self.long_ribs < 3:
@@ -213,7 +162,7 @@ def torus_point(i: float, j: float, p: SurfaceParams) -> Vec3:
     u = i * 360.0 / p.lat_ribs
     v = j * 360.0 / p.long_ribs
     profile = Vec3(p.inner_radius * cosd(u) + p.outer_radius, 0.0, p.inner_radius * sind(u))
-    return rotation(0.0, 0.0, v).apply(profile)
+    return _rot_z(profile, v)
 
 
 def half_lemniscate(alpha: float, ampl: float, phase: float = 90.0) -> Vec3:
@@ -272,7 +221,8 @@ def roman_point(i: float, j: float, p: SurfaceParams) -> Vec3:
 
 
 def surface_point(i: float, j: float, p: SurfaceParams) -> Vec3:
-    """Evaluate whichever surface ``p`` selects; i and j may be fractional."""
+    """Evaluate whichever surface ``p`` selects; i and j may be fractional,
+    or numpy arrays that broadcast against each other."""
     if p.kind is SurfaceKind.TORUS:
         return torus_point(i, j, p)
     if p.kind is SurfaceKind.KLEIN:

@@ -7,31 +7,31 @@ doubled i-range is what closes the Klein bottle (its pattern only repeats
 after two turns); the torus and Roman surface simply get traced twice, which
 is harmless since components may overlap freely.
 
-Each capsule is tessellated as an open cylinder capped by two hemispheres
-sharing its rings, a closed orientable mesh with Euler characteristic 2 by
-construction.  Tessellation uses precomputed scalar trig tables and otherwise
-only IEEE arithmetic, so batched and one-at-a-time tessellation produce
-bit-identical vertices and the whole build is deterministic.
+The plan is a pair of (N, 3) arrays of capsule end centres, evaluated as
+whole grids through :func:`surface_point`.  Each capsule is tessellated as an
+open cylinder capped by two hemispheres sharing its rings, a closed orientable
+mesh with Euler characteristic 2 by construction.  Tessellation uses
+precomputed scalar trig tables and otherwise only IEEE arithmetic, so the
+whole build is deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .geom import SurfaceParams, Vec3, cosd, sind, surface_point
+from .geom import SurfaceParams, cosd, sind, surface_point
 from .mesh_io import TriangleMesh
 
 __all__ = [
     "WireframeSpec",
-    "Segment",
-    "Capsule",
+    "SegmentPlan",
     "SPHERE_EPS",
     "plan_segments",
     "count_degenerate_segments",
-    "capsule_mesh",
     "tessellate_segments",
     "build_wireframe",
 ]
@@ -50,8 +50,8 @@ class WireframeSpec:
     capsule_resolution: int = 12
 
     def __post_init__(self) -> None:
-        if self.thickness <= 0:
-            raise ValueError(f"thickness must be > 0, got {self.thickness}")
+        if not (math.isfinite(self.thickness) and self.thickness > 0):
+            raise ValueError(f"thickness must be finite and > 0, got {self.thickness}")
         if self.outer_density < 1:
             raise ValueError(f"outer_density must be >= 1, got {self.outer_density}")
         if self.inner_density < 1:
@@ -63,30 +63,27 @@ class WireframeSpec:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One capsule placement; key is (i, j, direction, step) with direction
-    0 along i and 1 along j."""
+class SegmentPlan:
+    """Capsule placements: segment n runs from ``a[n]`` to ``b[n]``, (N, 3) each.
 
-    a: Vec3
-    b: Vec3
-    radius: float
-    key: tuple[int, int, int, int]
+    Segments are ordered by grid point (i, j), and within a point the outer
+    substeps k along i come before the inner substeps k along j, so ``a`` and
+    ``b`` reshape to (2*lat_ribs+1, long_ribs+1, outer+inner, 3).  Iterating
+    yields one record per segment with fields ``a`` and ``b``.
+    """
 
-
-@dataclass(frozen=True)
-class Capsule:
-    """Convex hull of two equal spheres; coincident centers give a sphere."""
-
-    center_a: Vec3
-    center_b: Vec3
+    a: np.ndarray
+    b: np.ndarray
     radius: float
 
-    def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError(f"capsule radius must be > 0, got {self.radius}")
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __iter__(self):
+        return iter(np.rec.fromarrays((self.a, self.b), dtype=[("a", float, 3), ("b", float, 3)]))
 
 
-def plan_segments(spec: WireframeSpec, legacy_overshoot: bool = False) -> list[Segment]:
+def plan_segments(spec: WireframeSpec, legacy_overshoot: bool = False) -> SegmentPlan:
     """Ordered segment plan; (2*lat_ribs+1)*(long_ribs+1)*(outer+inner) entries.
 
     ``legacy_overshoot`` reproduces the literal loop bounds of the original
@@ -94,34 +91,29 @@ def plan_segments(spec: WireframeSpec, legacy_overshoot: bool = False) -> list[S
     little geometry; the default clamps substeps so counts are exact.
     """
     p = spec.surface
-    do, di = spec.outer_density, spec.inner_density
     extra = 1 if legacy_overshoot else 0
-    segments = []
-    for i in range(2 * p.lat_ribs + 1):
-        for j in range(p.long_ribs + 1):
-            for k in range(do + extra):
-                segments.append(
-                    Segment(
-                        surface_point(i + k / do, j, p),
-                        surface_point(i + (k + 1) / do, j, p),
-                        spec.thickness,
-                        (i, j, 0, k),
-                    )
-                )
-            for k in range(di + extra):
-                segments.append(
-                    Segment(
-                        surface_point(i, j + k / di, p),
-                        surface_point(i, j + (k + 1) / di, p),
-                        spec.thickness,
-                        (i, j, 1, k),
-                    )
-                )
-    return segments
+    i = np.arange(2 * p.lat_ribs + 1, dtype=np.float64)[:, None, None]
+    j = np.arange(p.long_ribs + 1, dtype=np.float64)[None, :, None]
+
+    def rib(density: int, along_i: bool) -> tuple[np.ndarray, np.ndarray]:
+        t = np.arange(density + extra + 1) / density  # substep k/density
+        pts = surface_point(i + t, j, p) if along_i else surface_point(i, j + t, p)
+        grid = np.stack(np.broadcast_arrays(*pts), axis=-1)
+        return grid[:, :, :-1], grid[:, :, 1:]
+
+    outer, inner = rib(spec.outer_density, True), rib(spec.inner_density, False)
+    a, b = (np.concatenate(ends, axis=2).reshape(-1, 3) for ends in zip(outer, inner))
+    return SegmentPlan(a, b, spec.thickness)
 
 
-def count_degenerate_segments(segments: list[Segment]) -> int:
-    return sum(1 for s in segments if s.a.distance(s.b) < SPHERE_EPS)
+def _is_sphere(plan: SegmentPlan) -> np.ndarray:
+    """Segments shorter than ``SPHERE_EPS``, which tessellate as spheres."""
+    d = plan.b - plan.a
+    return np.sqrt((d * d).sum(axis=1)) < SPHERE_EPS
+
+
+def count_degenerate_segments(plan: SegmentPlan) -> int:
+    return int(np.count_nonzero(_is_sphere(plan)))
 
 
 @lru_cache(maxsize=None)
@@ -129,11 +121,9 @@ def _tables(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     """Azimuth and latitude cos/sin tables (exact at quadrant angles)."""
     n = resolution
     m = (resolution + 1) // 2
-    caz = np.array([cosd(360.0 * s / n) for s in range(n)])
-    saz = np.array([sind(360.0 * s / n) for s in range(n)])
-    clat = np.array([cosd(90.0 * t / m) for t in range(m)])
-    slat = np.array([sind(90.0 * t / m) for t in range(m)])
-    return caz, saz, clat, slat
+    azimuth = 360.0 * np.arange(n) / n
+    latitude = 90.0 * np.arange(m) / m
+    return cosd(azimuth), sind(azimuth), cosd(latitude), sind(latitude)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +177,7 @@ def _frames(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _capsule_vertices(
-    a: np.ndarray, b: np.ndarray, radius: np.ndarray, resolution: int
+    a: np.ndarray, b: np.ndarray, radius: float, resolution: int
 ) -> np.ndarray:
     """Vertices (S, 2mn+2, 3) for non-degenerate capsules."""
     n = resolution
@@ -208,22 +198,21 @@ def _capsule_vertices(
         axis=1,
     )  # (S, 2m, 3)
 
-    r = radius[:, None, None, None]
-    rings = centers[:, :, None, :] + r * (
+    rings = centers[:, :, None, :] + radius * (
         cl[None, :, None, None] * plane[:, None, :, :]
         + sl[None, :, None, None] * w[:, None, None, :]
     )  # (S, 2m, n, 3)
 
     S = len(a)
     out = np.empty((S, 2 * m * n + 2, 3))
-    out[:, 0] = a - radius[:, None] * w
+    out[:, 0] = a - radius * w
     out[:, 1:-1] = rings.reshape(S, 2 * m * n, 3)
-    out[:, -1] = b + radius[:, None] * w
+    out[:, -1] = b + radius * w
     return out
 
 
 def _sphere_vertices(
-    a: np.ndarray, b: np.ndarray, radius: np.ndarray, resolution: int
+    a: np.ndarray, b: np.ndarray, radius: float, resolution: int
 ) -> np.ndarray:
     """Vertices (S, (2m-1)n+2, 3) for degenerate capsules, axis fixed to z."""
     n = resolution
@@ -236,16 +225,15 @@ def _sphere_vertices(
     plane = np.zeros((n, 3))
     plane[:, 0] = caz
     plane[:, 1] = saz
-    r = radius[:, None, None, None]
-    rings = center[:, None, None, :] + r * (
+    rings = center[:, None, None, :] + radius * (
         cl[None, :, None, None] * plane[None, None, :, :]
         + sl[None, :, None, None] * np.array([0.0, 0.0, 1.0])[None, None, None, :]
     )
     S = len(a)
     out = np.empty((S, (2 * m - 1) * n + 2, 3))
-    out[:, 0] = center - radius[:, None] * np.array([0.0, 0.0, 1.0])
+    out[:, 0] = center - radius * np.array([0.0, 0.0, 1.0])
     out[:, 1:-1] = rings.reshape(S, (2 * m - 1) * n, 3)
-    out[:, -1] = center + radius[:, None] * np.array([0.0, 0.0, 1.0])
+    out[:, -1] = center + radius * np.array([0.0, 0.0, 1.0])
     return out
 
 
@@ -263,41 +251,14 @@ def sphere_counts(resolution: int) -> tuple[int, int]:
     return (2 * m - 1) * n + 2, 2 * n * (2 * m - 1)
 
 
-def capsule_mesh(c: Capsule, resolution: int) -> TriangleMesh:
-    """Closed, outward-oriented triangle mesh of one capsule.
-
-    Falls back to a full sphere when the centers are closer than
-    ``SPHERE_EPS`` so pinched segments never produce degenerate cylinders.
-    """
-    if resolution < 4:
-        raise ValueError(f"resolution must be >= 4, got {resolution}")
-    if not (c.center_a.is_finite() and c.center_b.is_finite()):
-        raise ValueError("capsule centers must be finite")
-    a = np.array([c.center_a], dtype=np.float64)
-    b = np.array([c.center_b], dtype=np.float64)
-    r = np.array([c.radius], dtype=np.float64)
-    if c.center_a.distance(c.center_b) < SPHERE_EPS:
-        verts = _sphere_vertices(a, b, r, resolution)[0]
-        tris = _sphere_template(resolution)
-    else:
-        verts = _capsule_vertices(a, b, r, resolution)[0]
-        tris = _capsule_template(resolution)
-    return TriangleMesh(verts, tris.copy())
-
-
 def build_wireframe(spec: WireframeSpec, legacy_overshoot: bool = False) -> TriangleMesh:
     """Tessellate the whole plan; one closed component per segment, in plan order."""
     return tessellate_segments(plan_segments(spec, legacy_overshoot), spec.capsule_resolution)
 
 
-def tessellate_segments(segments: list[Segment], res: int) -> TriangleMesh:
-    a = np.array([s.a for s in segments], dtype=np.float64)
-    b = np.array([s.b for s in segments], dtype=np.float64)
-    radius = np.array([s.radius for s in segments], dtype=np.float64)
-
-    d = b - a
-    lengths = np.sqrt((d * d).sum(axis=1))
-    is_sphere = lengths < SPHERE_EPS
+def tessellate_segments(plan: SegmentPlan, res: int) -> TriangleMesh:
+    a, b = plan.a, plan.b
+    is_sphere = _is_sphere(plan)
 
     v_cap, f_cap = capsule_counts(res)
     v_sph, f_sph = sphere_counts(res)
@@ -308,9 +269,7 @@ def tessellate_segments(segments: list[Segment], res: int) -> TriangleMesh:
 
     vertices = np.empty((int(voff[-1]), 3), dtype=np.float64)
     triangles = np.empty((int(foff[-1]), 3), dtype=np.int32)
-    component_ids = np.repeat(
-        np.arange(len(segments), dtype=np.int32), fcounts
-    )
+    component_ids = np.repeat(np.arange(len(a), dtype=np.int32), fcounts)
 
     for mask, nv, nf, make, template in (
         (~is_sphere, v_cap, f_cap, _capsule_vertices, _capsule_template(res)),
@@ -319,7 +278,7 @@ def tessellate_segments(segments: list[Segment], res: int) -> TriangleMesh:
         idx = np.flatnonzero(mask)
         if len(idx) == 0:
             continue
-        verts = make(a[idx], b[idx], radius[idx], res)
+        verts = make(a[idx], b[idx], plan.radius, res)
         vtargets = (voff[idx][:, None] + np.arange(nv)[None, :]).ravel()
         vertices[vtargets] = verts.reshape(-1, 3)
         tvals = template[None, :, :] + voff[idx][:, None, None].astype(np.int32)

@@ -117,7 +117,7 @@ def all_minor_gcds(mat) -> list[int]:
 
 
 def axis_angle_matrix(axis: tuple[float, float, float], degrees: float):
-    """Rodrigues rotation matrix; independent of the package's Euler build."""
+    """Rodrigues rotation matrix; independent of the package's z rotation."""
     x, y, z = axis
     norm = math.sqrt(x * x + y * y + z * z)
     x, y, z = x / norm, y / norm, z / norm
@@ -133,18 +133,6 @@ def axis_angle_matrix(axis: tuple[float, float, float], degrees: float):
 
 def mat_apply(mat, v):
     return tuple(sum(mat[i][k] * v[k] for k in range(3)) for i in range(3))
-
-
-def mat_mul3(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-
-
-def euler_zyx_oracle(ax: float, ay: float, az: float):
-    """Rz(az) @ Ry(ay) @ Rx(ax) assembled from axis-angle matrices."""
-    rx = axis_angle_matrix((1, 0, 0), ax)
-    ry = axis_angle_matrix((0, 1, 0), ay)
-    rz = axis_angle_matrix((0, 0, 1), az)
-    return mat_mul3(rz, mat_mul3(ry, rx))
 
 
 def point_segment_distance(p, a, b) -> float:

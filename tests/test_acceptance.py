@@ -206,21 +206,21 @@ def test_criterion_5_closure():
     for i in range(torus.lat_ribs + 1):
         for j in range(torus.long_ribs + 1):
             p = torus_point(i, j, torus)
-            assert p.distance(torus_point(i + torus.lat_ribs, j, torus)) < 1e-9
-            assert p.distance(torus_point(i, j + torus.long_ribs, torus)) < 1e-9
+            assert math.dist(p, torus_point(i + torus.lat_ribs, j, torus)) < 1e-9
+            assert math.dist(p, torus_point(i, j + torus.long_ribs, torus)) < 1e-9
 
     klein = SurfaceParams(SurfaceKind.KLEIN)
     for i in range(2 * klein.lat_ribs + 1):
         for j in range(klein.long_ribs + 1):
-            gap = klein_point(i, j, klein).distance(
-                klein_point(i + 2 * klein.lat_ribs, j, klein)
+            gap = math.dist(
+                klein_point(i, j, klein), klein_point(i + 2 * klein.lat_ribs, j, klein)
             )
             assert gap < 1e-9
 
     c1 = [klein_point(0, j, klein) for j in range(klein.long_ribs + 1)]
     c2 = [klein_point(klein.lat_ribs, j, klein) for j in range(klein.long_ribs + 1)]
-    parallel = max(c1[0].distance(c2[0]), c1[-1].distance(c2[-1]))
-    crossed = max(c1[0].distance(c2[-1]), c1[-1].distance(c2[0]))
+    parallel = max(math.dist(c1[0], c2[0]), math.dist(c1[-1], c2[-1]))
+    crossed = max(math.dist(c1[0], c2[-1]), math.dist(c1[-1], c2[0]))
     assert min(parallel, crossed) < 1e-6
 
     rng = random.Random(0xA27190DA1)

@@ -5,6 +5,7 @@ import pytest
 
 from identispace.cli import CONFIG_ENV_VAR, RunConfig, load_config_file, main, resolve_config
 from identispace.mesh_io import TriangleMesh, write_stl
+from identispace.wireframe import capsule_counts, sphere_counts
 
 SMALL = [
     "--lat-ribs", "3", "--long-ribs", "3",
@@ -59,8 +60,38 @@ def test_generate_roman_reports_degenerate_capsules(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    line = next(l for l in text.splitlines() if l.startswith("sphere_degenerate_capsules:"))
-    assert int(line.split(":")[1]) >= 1
+    fields = dict(l.split(": ", 1) for l in text.splitlines() if ": " in l)
+    spheres = int(fields["sphere_degenerate_capsules"])
+    assert spheres >= 1
+    # every sphere and every remaining capsule shows up in the mesh
+    segments = (2 * 4 + 1) * (4 + 1) * (1 + 1)
+    assert int(fields["triangles"]) == (
+        spheres * sphere_counts(4)[1] + (segments - spheres) * capsule_counts(4)[1]
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["generate", "--thickness", "nan"], None),
+        (["generate", "--surface", "klein", "--amplitude", "nan"], None),
+        (["generate", "--surface", "torus"], "thickness = inf\n"),
+        (["sample", "--outer-radius", "inf", "0", "0"], None),
+    ],
+)
+def test_non_finite_values_rejected(tmp_path, capsys, argv, config):
+    out = tmp_path / "x.stl"
+    if argv[0] == "generate":
+        argv = [*argv, "--output", str(out)]
+    if config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code, text, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+    assert text == ""
+    assert not out.exists()
 
 
 def test_generate_ascii_mode(tmp_path, capsys):

@@ -1,26 +1,26 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from identispace.geom import (
-    RotationMatrix,
     SurfaceKind,
     SurfaceParams,
     Vec3,
+    _rot_z,
     cosd,
     half_lemniscate,
     klein_point,
     roman_point,
-    rotation,
     sind,
     steiner_map,
     surface_point,
     torus_point,
 )
 
-from oracles import euler_zyx_oracle, mat_apply
+from oracles import axis_angle_matrix, mat_apply
 
 TORUS = SurfaceParams(SurfaceKind.TORUS)
 KLEIN = SurfaceParams(SurfaceKind.KLEIN)
@@ -60,48 +60,41 @@ def test_trig_period_close_for_arbitrary_floats(a):
     assert sind(a) == pytest.approx(sind(a + 360.0), abs=1e-12)
 
 
-# --- rotation --------------------------------------------------------------
+# grid angles as the planner forms them: (i + k/d) * 360 / n, plus both zeros
+grid_angles = st.builds(
+    lambda i, k, d, n: (i + k / d) * 360.0 / n,
+    st.integers(-64, 64), st.integers(0, 9), st.integers(1, 9), st.integers(3, 40),
+) | st.sampled_from([0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 270.0, 360.0, -720.0])
+
+
+@given(st.lists(grid_angles, min_size=1, max_size=40))
+def test_array_trig_matches_scalar_bit_for_bit(values):
+    for f in (cosd, sind):
+        assert f(np.array(values)).tobytes() == np.array([f(a) for a in values]).tobytes()
+
+
+# --- rotation about z ---------------------------------------------------------
 
 
 def test_rotation_identity():
-    assert rotation(0, 0, 0).rows == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    assert _rot_z(Vec3(1.5, -2.0, 3.0), 0) == Vec3(1.5, -2.0, 3.0)
 
 
 def test_rotation_half_turn_about_z():
-    assert rotation(0, 0, 180).apply(Vec3(1, 0, 0)) == Vec3(-1.0, 0.0, 0.0)
+    assert _rot_z(Vec3(1, 0, 0), 180) == Vec3(-1.0, 0.0, 0.0)
 
 
-def test_rotation_x_quarter_turn_matches_axis_angle_oracle():
-    # independent axis-angle evaluation of Rx(90) applied to (0, 0, -1)
-    expect = mat_apply(euler_zyx_oracle(90, 0, 0), (0.0, 0.0, -1.0))
-    assert vec_close(Vec3(*expect), (0.0, 1.0, 0.0), 1e-12)
-    got = rotation(90, 0, 0).apply(Vec3(0, 0, -1))
-    assert got == Vec3(0.0, 1.0, 0.0)
-
-
-@given(angles, angles, angles)
-def test_rotation_is_special_orthogonal(ax, ay, az):
-    r = rotation(ax, ay, az)
-    assert r.orthogonality_error() < 1e-9
-    assert abs(r.determinant() - 1.0) < 1e-9
-
-
-@given(angles, angles, angles)
-def test_rotation_matches_axis_angle_oracle(ax, ay, az):
-    r = rotation(ax, ay, az)
-    o = euler_zyx_oracle(ax, ay, az)
-    assert max(
-        abs(r.rows[i][j] - o[i][j]) for i in range(3) for j in range(3)
-    ) < 1e-9
+@given(angles)
+def test_rotation_matches_axis_angle_oracle(a):
+    p = (1.5, -2.0, 3.0)
+    expect = mat_apply(axis_angle_matrix((0, 0, 1), a), p)
+    assert vec_close(_rot_z(Vec3(*p), a), expect, 1e-9)
 
 
 @given(angles, angles)
 def test_rotation_z_composition_additive(a, b):
-    lhs = rotation(0, 0, a) @ rotation(0, 0, b)
-    rhs = rotation(0, 0, a + b)
-    assert max(
-        abs(lhs.rows[i][j] - rhs.rows[i][j]) for i in range(3) for j in range(3)
-    ) < 1e-9
+    p = Vec3(1.5, -2.0, 3.0)
+    assert vec_close(_rot_z(_rot_z(p, b), a), _rot_z(p, a + b), 1e-9)
 
 
 # --- torus -----------------------------------------------------------------
@@ -124,8 +117,8 @@ def test_torus_periodicity_full_grid_exact():
     for i in range(TORUS.lat_ribs + 1):
         for j in range(TORUS.long_ribs + 1):
             p = torus_point(i, j, TORUS)
-            assert p.distance(torus_point(i + TORUS.lat_ribs, j, TORUS)) < 1e-9
-            assert p.distance(torus_point(i, j + TORUS.long_ribs, TORUS)) < 1e-9
+            assert math.dist(p, torus_point(i + TORUS.lat_ribs, j, TORUS)) < 1e-9
+            assert math.dist(p, torus_point(i, j + TORUS.long_ribs, TORUS)) < 1e-9
 
 
 def test_torus_profile_radius_law():
@@ -167,8 +160,8 @@ def test_klein_frozen_samples():
 def test_klein_closure_full_grid():
     for i in range(2 * KLEIN.lat_ribs + 1):
         for j in range(KLEIN.long_ribs + 1):
-            gap = klein_point(i, j, KLEIN).distance(
-                klein_point(i + 2 * KLEIN.lat_ribs, j, KLEIN)
+            gap = math.dist(
+                klein_point(i, j, KLEIN), klein_point(i + 2 * KLEIN.lat_ribs, j, KLEIN)
             )
             assert gap < 1e-9
 
@@ -177,8 +170,8 @@ def test_klein_seam_junction_gaps():
     n = KLEIN.long_ribs
     c1 = [klein_point(0, j, KLEIN) for j in range(n + 1)]
     c2 = [klein_point(KLEIN.lat_ribs, j, KLEIN) for j in range(n + 1)]
-    parallel = max(c1[0].distance(c2[0]), c1[-1].distance(c2[-1]))
-    crossed = max(c1[0].distance(c2[-1]), c1[-1].distance(c2[0]))
+    parallel = max(math.dist(c1[0], c2[0]), math.dist(c1[-1], c2[-1]))
+    crossed = max(math.dist(c1[0], c2[-1]), math.dist(c1[-1], c2[0]))
     assert min(parallel, crossed) < 1e-6
 
 
@@ -234,7 +227,18 @@ def test_dispatch_fractional_continuity():
     for j in range(KLEIN.long_ribs + 1):
         a = surface_point(0.5, j, KLEIN)
         b = surface_point(0.5 - 1e-6, j, KLEIN)
-        assert a.distance(b) < 1e-3
+        assert math.dist(a, b) < 1e-3
+
+
+@given(
+    st.sampled_from([TORUS, KLEIN, ROMAN]),
+    st.lists(st.tuples(st.floats(0, 40), st.floats(0, 40)), min_size=1, max_size=20),
+)
+def test_grid_evaluation_matches_pointwise(params, samples):
+    i, j = np.array(samples).T
+    grid = np.stack(np.broadcast_arrays(*surface_point(i, j, params)), axis=-1)
+    pointwise = np.array([surface_point(float(x), float(y), params) for x, y in samples])
+    assert grid.tobytes() == pointwise.tobytes()
 
 
 def test_point_functions_reject_wrong_kind():
@@ -258,6 +262,11 @@ def test_point_functions_reject_wrong_kind():
         dict(kind=SurfaceKind.KLEIN, inner_radius=0.0),
         dict(kind=SurfaceKind.ROMAN, outer_radius=0.0),
         dict(kind=SurfaceKind.KLEIN, amplitude=-0.1),
+        dict(kind=SurfaceKind.TORUS, outer_radius=math.inf),
+        dict(kind=SurfaceKind.ROMAN, outer_radius=math.nan),
+        dict(kind=SurfaceKind.ROMAN, inner_radius=math.inf),
+        dict(kind=SurfaceKind.KLEIN, amplitude=math.nan),
+        dict(kind=SurfaceKind.KLEIN, phase_offset=-math.inf),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -268,10 +277,3 @@ def test_invalid_params_rejected(kwargs):
 def test_roman_ignores_inner_radius_ordering():
     # only outer_radius matters for the Roman surface
     SurfaceParams(kind=SurfaceKind.ROMAN, outer_radius=1.0, inner_radius=50.0)
-
-
-def test_rotation_matrix_helpers():
-    r = rotation(10, 20, 30)
-    rt = r.transpose()
-    assert (rt @ r).rows[0][0] == pytest.approx(1.0)
-    assert RotationMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1))).determinant() == 1.0

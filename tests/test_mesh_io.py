@@ -13,7 +13,8 @@ from identispace.mesh_io import (
     validate,
     write_stl,
 )
-from identispace.wireframe import Capsule, capsule_mesh
+
+from test_wireframe import one_capsule
 
 
 def tetrahedron(flip_one=False, drop_one=False) -> TriangleMesh:
@@ -91,7 +92,7 @@ def test_write_rejects_huge_triangle_count():
 
 
 def test_binary_round_trip_preserves_triangles():
-    mesh = capsule_mesh(Capsule(Vec3(0, 1, 2), Vec3(3, -1, 0.5), 0.6), 9)
+    mesh = one_capsule((0, 1, 2), (3, -1, 0.5), 0.6, 9)
     back = read_stl(write_stl(mesh))
     assert back.triangle_count == mesh.triangle_count
     orig32 = mesh.vertices.astype(np.float32)
@@ -106,7 +107,7 @@ def test_binary_round_trip_preserves_triangles():
 
 
 def test_ascii_and_binary_parse_to_equal_meshes():
-    mesh = capsule_mesh(Capsule(Vec3(0.1, 0.2, 0.3), Vec3(1, 2, 3), 0.45), 6)
+    mesh = one_capsule((0.1, 0.2, 0.3), (1, 2, 3), 0.45, 6)
     from_bin = read_stl(write_stl(mesh, "binary"))
     from_asc = read_stl(write_stl(mesh, "ascii"))
     assert np.array_equal(from_bin.vertices, from_asc.vertices)
@@ -208,7 +209,7 @@ def test_duplicated_closed_surface_stays_watertight_after_weld():
 
 def test_capsule_outputs_watertight_across_resolutions():
     for res in range(4, 17):
-        mesh = capsule_mesh(Capsule(Vec3(0, 0, 0), Vec3(1, 0.5, 2), 0.8), res)
+        mesh = one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, res)
         report = validate(mesh)
         assert report.all_watertight and report.all_edge_manifold
         assert list(report.euler_characteristic_per_component) == [2]

@@ -5,15 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from identispace.geom import SurfaceKind, SurfaceParams, Vec3, surface_point
+from identispace.geom import SurfaceKind, SurfaceParams, surface_point
 from identispace.mesh_io import validate, write_stl
 from identispace.wireframe import (
     SPHERE_EPS,
-    Capsule,
+    SegmentPlan,
     WireframeSpec,
     build_wireframe,
     capsule_counts,
-    capsule_mesh,
     count_degenerate_segments,
     plan_segments,
     sphere_counts,
@@ -39,6 +38,19 @@ def loop_count_oracle(lat_ribs, long_ribs, outer_density, inner_density, extra=0
     return count
 
 
+def one_capsule(a, b, radius, res):
+    """Tessellate a one-segment plan."""
+    plan = SegmentPlan(np.array([a], dtype=float), np.array([b], dtype=float), radius)
+    return tessellate_segments(plan, res)
+
+
+def cells(plan, spec):
+    """View plan ends as (i, j, [outer k..., inner k...], 3) per the plan order."""
+    p = spec.surface
+    shape = (2 * p.lat_ribs + 1, p.long_ribs + 1, -1, 3)
+    return plan.a.reshape(shape), plan.b.reshape(shape)
+
+
 # --- planning ---------------------------------------------------------------
 
 
@@ -52,8 +64,8 @@ def test_plan_count_mixed_densities():
     spec = small_spec(outer_density=2, inner_density=3)
     segs = plan_segments(spec)
     assert len(segs) == loop_count_oracle(3, 3, 2, 3)
-    per_cell = [s for s in segs if s.key[:2] == (0, 0)]
-    assert len(per_cell) == 5
+    a, _ = cells(segs, spec)
+    assert a.shape[2] == 5
 
 
 def test_plan_count_formula_at_defaults():
@@ -66,27 +78,44 @@ def test_plan_count_formula_at_defaults():
 
 
 def test_plan_keys_ascending_and_unique():
-    segs = plan_segments(small_spec(outer_density=2, inner_density=3))
-    keys = [s.key for s in segs]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+    # cells ascend in (i, j); in each, the outer rib chains from (i, j) to
+    # (i+1, j), then the inner rib chains from (i, j) to (i, j+1)
+    spec = small_spec(outer_density=2, inner_density=3)
+    p = spec.surface
+    a, b = cells(plan_segments(spec), spec)
+    for i in range(2 * p.lat_ribs + 1):
+        for j in range(p.long_ribs + 1):
+            assert tuple(a[i, j, 0]) == tuple(a[i, j, 2]) == surface_point(i, j, p)
+            assert np.array_equal(a[i, j, [1, 3, 4]], b[i, j, [0, 2, 3]])
+            assert tuple(b[i, j, 1]) == surface_point(i + 1, j, p)
+            assert tuple(b[i, j, 4]) == surface_point(i, j + 1, p)
 
 
 def test_plan_endpoints_are_grid_samples():
     spec = small_spec(outer_density=2, inner_density=2)
     p = spec.surface
-    for s in plan_segments(spec):
-        i, j, direction, k = s.key
+    plan = plan_segments(spec)
+    keys = [
+        (i, j, direction, k)
+        for i in range(2 * p.lat_ribs + 1)
+        for j in range(p.long_ribs + 1)
+        for direction in (0, 1)
+        for k in range(2)
+    ]
+    assert len(keys) == len(plan)
+    for (i, j, direction, k), a, b in zip(keys, plan.a, plan.b):
         if direction == 0:
-            assert s.a == surface_point(i + k / 2, j, p)
-            assert s.b == surface_point(i + (k + 1) / 2, j, p)
+            assert tuple(a) == surface_point(i + k / 2, j, p)
+            assert tuple(b) == surface_point(i + (k + 1) / 2, j, p)
         else:
-            assert s.a == surface_point(i, j + k / 2, p)
-            assert s.b == surface_point(i, j + (k + 1) / 2, p)
+            assert tuple(a) == surface_point(i, j + k / 2, p)
+            assert tuple(b) == surface_point(i, j + (k + 1) / 2, p)
 
 
 def test_plan_deterministic():
-    assert plan_segments(small_spec()) == plan_segments(small_spec())
+    first, second = plan_segments(small_spec()), plan_segments(small_spec())
+    assert np.array_equal(first.a, second.a) and np.array_equal(first.b, second.b)
+    assert first.radius == second.radius
 
 
 def test_legacy_overshoot_counts():
@@ -98,27 +127,26 @@ def test_legacy_overshoot_counts():
 def test_outer_rib_stays_on_profile_circle():
     p = SurfaceParams(SurfaceKind.TORUS)
     spec = WireframeSpec(p, outer_density=4, inner_density=1)
-    for s in plan_segments(spec):
-        i, j, direction, k = s.key
-        if direction != 0:
-            continue
-        for x, pt in ((i + k / 4, s.a), (i + (k + 1) / 4, s.b)):
-            u = x * 360.0 / p.lat_ribs
-            expect = p.outer_radius + p.inner_radius * math.cos(math.radians(u))
-            assert abs(math.hypot(pt.x, pt.y) - abs(expect)) < 1e-9
+    a, b = cells(plan_segments(spec), spec)
+    i = np.arange(2 * p.lat_ribs + 1)[:, None, None]
+    k = np.arange(4)
+    for x, pts in ((i + k / 4, a[:, :, :4]), (i + (k + 1) / 4, b[:, :, :4])):
+        u = x * 360.0 / p.lat_ribs
+        expect = p.outer_radius + p.inner_radius * np.cos(np.radians(u))
+        assert np.all(np.abs(np.hypot(pts[..., 0], pts[..., 1]) - np.abs(expect)) < 1e-9)
 
 
 # --- capsule meshes ----------------------------------------------------------
 
 
 def test_sphere_fallback_topology():
-    mesh = capsule_mesh(Capsule(Vec3(1, 2, 3), Vec3(1, 2, 3), 1.0), 8)
+    mesh = one_capsule((1, 2, 3), (1, 2, 3), 1.0, 8)
     assert mesh.triangle_count == sphere_counts(8)[1]
     assert mesh_euler_characteristic(mesh.vertices, mesh.triangles) == 2
 
 
 def test_capsule_bounding_box_exact():
-    mesh = capsule_mesh(Capsule(Vec3(0, 0, 0), Vec3(0, 0, 2), 1.0), 8)
+    mesh = one_capsule((0, 0, 0), (0, 0, 2), 1.0, 8)
     assert np.array_equal(mesh.vertices.min(axis=0), [-1.0, -1.0, -1.0])
     assert np.array_equal(mesh.vertices.max(axis=0), [1.0, 1.0, 3.0])
 
@@ -127,21 +155,21 @@ def test_capsule_euler_characteristic_sweep():
     rng = random.Random(42)
     for _ in range(50):
         res = rng.randrange(4, 17)
-        a = Vec3(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
-        b = Vec3(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
-        mesh = capsule_mesh(Capsule(a, b, rng.uniform(0.1, 2.0)), res)
+        a = (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
+        b = (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
+        mesh = one_capsule(a, b, rng.uniform(0.1, 2.0), res)
         assert mesh_euler_characteristic(mesh.vertices, mesh.triangles) == 2
 
 
 def test_capsule_edges_manifold_and_oriented():
-    mesh = capsule_mesh(Capsule(Vec3(0, 0, 0), Vec3(1, 2, 0.5), 0.7), 7)
+    mesh = one_capsule((0, 0, 0), (1, 2, 0.5), 0.7, 7)
     for uses in mesh_edge_uses(mesh.triangles).values():
         assert len(uses) == 2
         assert uses[0] == (uses[1][1], uses[1][0])  # opposite traversal
 
 
 def test_capsule_outward_orientation():
-    mesh = capsule_mesh(Capsule(Vec3(0, 0, 0), Vec3(0, 0, 2), 1.0), 12)
+    mesh = one_capsule((0, 0, 0), (0, 0, 2), 1.0, 12)
     v, t = mesh.vertices, mesh.triangles
     volume = np.sum(
         np.einsum("ij,ij->i", v[t[:, 0]], np.cross(v[t[:, 1]], v[t[:, 2]]))
@@ -152,16 +180,16 @@ def test_capsule_outward_orientation():
 
 
 def test_capsule_vertices_within_radius_of_segment():
-    a, b, r = Vec3(1, 0, 0), Vec3(2, 3, -1), 0.8
-    mesh = capsule_mesh(Capsule(a, b, r), 9)
+    a, b, r = (1, 0, 0), (2, 3, -1), 0.8
+    mesh = one_capsule(a, b, r, 9)
     for v in mesh.vertices:
         assert point_segment_distance(tuple(v), a, b) <= r + 1e-6
 
 
 def test_capsule_support_function_covers_end_spheres():
-    a, b, r = Vec3(0, 0, 0), Vec3(1, 1, 2), 0.9
+    a, b, r = (0, 0, 0), (1, 1, 2), 0.9
     res = 8
-    mesh = capsule_mesh(Capsule(a, b, r), res)
+    mesh = one_capsule(a, b, r, res)
     bound = 2.0 * r * math.sin(math.pi / res) ** 2
     rng = random.Random(7)
     for _ in range(res):
@@ -173,16 +201,17 @@ def test_capsule_support_function_covers_end_spheres():
 
 
 def test_capsule_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        capsule_mesh(Capsule(Vec3(0, 0, 0), Vec3(1, 0, 0), 1.0), 3)
-    with pytest.raises(ValueError):
-        capsule_mesh(Capsule(Vec3(math.nan, 0, 0), Vec3(1, 0, 0), 1.0), 8)
-    with pytest.raises(ValueError):
-        Capsule(Vec3(0, 0, 0), Vec3(1, 0, 0), 0.0)
+    # capsule radius and resolution come from the spec, and its centres are
+    # finite because SurfaceParams rejects non-finite values
+    surface = SurfaceParams(SurfaceKind.TORUS)
+    for bad in (dict(capsule_resolution=3), dict(thickness=0.0),
+                dict(thickness=math.nan), dict(thickness=math.inf)):
+        with pytest.raises(ValueError):
+            WireframeSpec(surface, **bad)
 
 
 def test_nearly_degenerate_segment_becomes_sphere():
-    mesh = capsule_mesh(Capsule(Vec3(0, 0, 0), Vec3(0, 0, SPHERE_EPS / 2), 1.0), 6)
+    mesh = one_capsule((0, 0, 0), (0, 0, SPHERE_EPS / 2), 1.0, 6)
     assert mesh.triangle_count == sphere_counts(6)[1]
     report = validate(mesh)
     assert report.all_watertight and report.all_edge_manifold
@@ -197,8 +226,8 @@ def test_build_matches_per_capsule_concatenation():
     whole = build_wireframe(spec)
     offset_v = 0
     offset_f = 0
-    for idx, s in enumerate(segs):
-        single = capsule_mesh(Capsule(s.a, s.b, s.radius), 6)
+    for idx in range(len(segs)):
+        single = one_capsule(segs.a[idx], segs.b[idx], segs.radius, 6)
         nv, nf = len(single.vertices), len(single.triangles)
         assert np.array_equal(whole.vertices[offset_v : offset_v + nv], single.vertices)
         assert np.array_equal(
@@ -284,6 +313,7 @@ def test_spec_validation():
 def test_segment_lengths_bounded_by_adjacent_samples():
     spec = small_spec(outer_density=2, inner_density=2)
     segs = plan_segments(spec)
-    longest = max(s.a.distance(s.b) for s in segs)
-    for s in segs:
-        assert s.a.distance(s.b) <= longest
+    lengths = [math.dist(a, b) for a, b in zip(segs.a, segs.b)]
+    longest = max(lengths)
+    for length in lengths:
+        assert length <= longest
