@@ -12,17 +12,20 @@ arguments or unreadable input.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 from .geom import SurfaceKind, SurfaceParams, surface_point
-from .mesh_io import StlError, read_stl, validate, write_stl
+from .mesh_io import STL_TRIANGLE_LIMIT, StlError, read_stl, validate, write_stl
 from .topology import SpaceName, builtin_complex, format_group, homology
 from .wireframe import (
     WireframeSpec,
+    capsule_counts,
     count_degenerate_segments,
     plan_segments,
+    sphere_counts,
     tessellate_segments,
 )
 
@@ -33,6 +36,10 @@ _FLOAT_KEYS = {"outer-radius", "inner-radius", "thickness", "amplitude"}
 _BOOL_KEYS = {"ascii", "legacy-overshoot"}
 _STR_KEYS = {"surface", "space", "output"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+_CHOICES = {
+    "surface": [k.value for k in SurfaceKind],
+    "space": [s.value for s in SpaceName],
+}
 
 
 class CliError(Exception):
@@ -93,6 +100,8 @@ def _parse_config_value(key: str, raw: str):
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
+    if key in _CHOICES and raw not in _CHOICES[key]:
+        raise ValueError(f"{raw!r} is not one of {', '.join(_CHOICES[key])}")
     return raw
 
 
@@ -138,7 +147,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _add_surface_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--surface", choices=[k.value for k in SurfaceKind], default=None)
+    p.add_argument("--surface", choices=_CHOICES["surface"], default=None)
     p.add_argument("--outer-radius", type=float, default=None, metavar="MM")
     p.add_argument("--inner-radius", type=float, default=None, metavar="MM")
     p.add_argument("--lat-ribs", type=int, default=None, metavar="N")
@@ -174,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_validate)
 
     h = sub.add_parser("homology", help="print homology groups of a built-in space")
-    h.add_argument("--space", choices=[s.value for s in SpaceName], default=None)
+    h.add_argument("--space", choices=_CHOICES["space"], default=None)
     h.add_argument("--dim", type=int, default=None, metavar="K")
     h.add_argument("--config", default=None, metavar="PATH")
     h.set_defaults(func=cmd_homology)
@@ -197,7 +206,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return 2
     legacy = bool(cfg.legacy_overshoot)
     segments = plan_segments(spec, legacy)
-    mesh = tessellate_segments(segments, spec.capsule_resolution)
+    spheres = count_degenerate_segments(segments)
+    res = spec.capsule_resolution
+    triangles = (len(segments) - spheres) * capsule_counts(res)[1] + spheres * sphere_counts(res)[1]
+    if triangles >= STL_TRIANGLE_LIMIT:
+        print(f"error: {triangles} triangles exceed the 32-bit STL limit", file=sys.stderr)
+        return 2
+    mesh = tessellate_segments(segments, res)
     report = validate(mesh)
     data = write_stl(mesh, "ascii" if cfg.ascii else "binary")
     out_path = cfg.output or f"{cfg.surface}.stl"
@@ -209,7 +224,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return 2
     for line in report.summary_lines():
         print(line)
-    print(f"sphere_degenerate_capsules: {count_degenerate_segments(segments)}")
+    print(f"sphere_degenerate_capsules: {spheres}")
     print(f"file: {out_path} ({len(data)} bytes)")
     if not report.all_watertight:
         print("warning: mesh is not watertight; file written anyway", file=sys.stderr)
@@ -253,12 +268,17 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    if not (math.isfinite(args.i) and math.isfinite(args.j)):
+        print(f"error: i and j must be finite, got {args.i} {args.j}", file=sys.stderr)
+        return 2
     try:
-        params = cfg.surface_params()
+        pt = surface_point(args.i, args.j, cfg.surface_params())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    pt = surface_point(args.i, args.j, params)
+    if not all(math.isfinite(c) for c in pt):
+        print(f"error: point at ({args.i}, {args.j}) is not finite", file=sys.stderr)
+        return 2
     print("%g %g %g" % (pt.x, pt.y, pt.z))
     return 0
 

@@ -41,6 +41,8 @@ __all__ = [
 
 
 def _reduce_degrees(a: float) -> float:
+    if not math.isfinite(a):
+        raise ValueError(f"angle must be finite, got {a} degrees")
     r = math.fmod(a, 360.0)
     if r < 0.0:
         r += 360.0

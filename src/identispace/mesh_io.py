@@ -32,6 +32,7 @@ __all__ = [
     "MeshReport",
     "StlError",
     "STL_HEADER_TAG",
+    "STL_TRIANGLE_LIMIT",
     "DEGENERATE_AREA",
     "write_stl",
     "read_stl",
@@ -41,8 +42,16 @@ __all__ = [
 STL_HEADER_TAG = b"identispace-forge"
 DEGENERATE_AREA = 1e-12  # mm^2; triangles at or below this count as degenerate
 
-# binary record layout: 12 bytes normal, 36 bytes vertices, 2 bytes attribute
-_CHUNK = 1 << 20  # triangles per block for memory-bounded passes
+STL_TRIANGLE_LIMIT = 2**32  # the binary header stores the count as uint32
+
+# one packed 50-byte binary facet record
+_RECORD = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attribute", "<u2")])
+_CHUNK = 1 << 16  # triangles per block for memory-bounded passes
+_FACET = (
+    "  facet normal %.9g %.9g %.9g\n    outer loop\n"
+    + "      vertex %.9g %.9g %.9g\n" * 3
+    + "    endloop\n  endfacet\n"
+)
 
 
 class StlError(ValueError):
@@ -150,44 +159,39 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytes:
     if mode not in ("binary", "ascii"):
         raise ValueError(f"mode must be 'binary' or 'ascii', got {mode!r}")
     n = mesh.triangle_count
-    if n >= 2**32:
+    if n >= STL_TRIANGLE_LIMIT:
         raise ValueError("triangle count exceeds the 32-bit STL limit")
     mesh.check_indices()
     if len(mesh.vertices) and not np.all(np.isfinite(mesh.vertices)):
         raise ValueError("mesh contains a non-finite vertex")
 
-    v32 = mesh.vertices.astype("<f4")
-
     if mode == "binary":
         out = np.zeros(84 + 50 * n, dtype=np.uint8)
         out[:80] = np.frombuffer(STL_HEADER_TAG.ljust(80, b"\0"), dtype=np.uint8)
         out[80:84] = np.frombuffer(struct.pack("<I", n), dtype=np.uint8)
-        records = out[84:].reshape(n, 50)
-        block = np.empty((min(_CHUNK, n), 12), dtype="<f4")
-        for start in range(0, n, _CHUNK):
-            t = mesh.triangles[start : start + _CHUNK]
-            corners = v32[t]
-            chunk = block[: len(t)]
-            chunk[:, 0:3] = _unit_normals(corners)
-            chunk[:, 3:12] = corners.reshape(-1, 9)
-            records[start : start + _CHUNK, :48] = chunk.view(np.uint8).reshape(-1, 48)
+        _fill_records(out[84:].view(_RECORD), mesh)
         return out.tobytes()
 
+    records = np.zeros(n, dtype=_RECORD)
+    _fill_records(records, mesh)
     name = STL_HEADER_TAG.decode("ascii")
-    normals = _unit_normals(v32[mesh.triangles]).astype(np.float32)
-    lines = [f"solid {name}"]
-    for k in range(n):
-        nx, ny, nz = (float(c) for c in normals[k])
-        lines.append(f"  facet normal {nx:.9g} {ny:.9g} {nz:.9g}")
-        lines.append("    outer loop")
-        for vi in mesh.triangles[k]:
-            x, y, z = (float(c) for c in v32[vi])
-            lines.append(f"      vertex {x:.9g} {y:.9g} {z:.9g}")
-        lines.append("    endloop")
-        lines.append("  endfacet")
-    lines.append(f"endsolid {name}")
-    lines.append("")
-    return "\n".join(lines).encode("ascii")
+    parts = [f"solid {name}\n".encode("ascii")]
+    for start in range(0, n, _CHUNK):
+        chunk = records[start : start + _CHUNK]
+        values = np.concatenate([chunk["normal"], chunk["corners"].reshape(-1, 9)], axis=1)
+        parts.append(((_FACET * len(chunk)) % tuple(values.ravel().tolist())).encode("ascii"))
+    parts.append(f"endsolid {name}\n".encode("ascii"))
+    return b"".join(parts)
+
+
+def _fill_records(records: np.ndarray, mesh: TriangleMesh) -> None:
+    """Write each triangle's unit normal and float32 corners into ``records``."""
+    v32 = mesh.vertices.astype("<f4")
+    for start in range(0, len(records), _CHUNK):
+        corners = v32[mesh.triangles[start : start + _CHUNK]]
+        chunk = records[start : start + _CHUNK]
+        chunk["normal"] = _unit_normals(corners)
+        chunk["corners"] = corners
 
 
 def _weld(tri_verts: np.ndarray) -> TriangleMesh:
@@ -226,8 +230,7 @@ def _parse_binary(data: bytes) -> np.ndarray:
         raise StlError(
             f"STL length mismatch: {n} triangles need {expected} bytes, got {len(data)}"
         )
-    raw = np.frombuffer(data, dtype=np.uint8, count=50 * n, offset=84).reshape(n, 50)
-    return np.ascontiguousarray(raw[:, 12:48]).view("<f4").reshape(n, 3, 3)
+    return np.frombuffer(data, _RECORD, count=n, offset=84)["corners"]
 
 
 def _parse_ascii(data: bytes) -> np.ndarray:

@@ -10,7 +10,10 @@ is harmless since components may overlap freely.
 The plan is a pair of (N, 3) arrays of capsule end centres, evaluated as
 whole grids through :func:`surface_point`.  Each capsule is tessellated as an
 open cylinder capped by two hemispheres sharing its rings, a closed orientable
-mesh with Euler characteristic 2 by construction.  Tessellation uses
+mesh with Euler characteristic 2 by construction.  A segment shorter than
+``SPHERE_EPS`` becomes a sphere strut: the same capsule ladder, built around
+the segment midpoint in the fixed frame x, y, z, with its two equator rings
+merged into one.  Tessellation uses
 precomputed scalar trig tables and otherwise only IEEE arithmetic, so the
 whole build is deterministic.
 """
@@ -127,21 +130,8 @@ def _tables(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 
 @lru_cache(maxsize=None)
-def _capsule_template(resolution: int) -> np.ndarray:
-    """Triangle index template for the capsule ladder: pole, 2m rings, pole."""
-    n = resolution
-    m = (resolution + 1) // 2
-    return _ladder_template(n, 2 * m)
-
-
-@lru_cache(maxsize=None)
-def _sphere_template(resolution: int) -> np.ndarray:
-    n = resolution
-    m = (resolution + 1) // 2
-    return _ladder_template(n, 2 * m - 1)
-
-
 def _ladder_template(n: int, nrings: int) -> np.ndarray:
+    """Triangle index template for a ladder: pole, ``nrings`` rings of n, pole."""
     tris = []
     ring = lambda k, s: 1 + (k - 1) * n + (s % n)
     top = 1 + nrings * n
@@ -177,13 +167,13 @@ def _frames(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _capsule_vertices(
-    a: np.ndarray, b: np.ndarray, radius: float, resolution: int
+    a: np.ndarray, b: np.ndarray, frame: tuple, radius: float, resolution: int
 ) -> np.ndarray:
-    """Vertices (S, 2mn+2, 3) for non-degenerate capsules."""
+    """Vertices (S, 2mn+2, 3) of capsules around a[s]->b[s] in frame (u, v, w)."""
     n = resolution
     m = (resolution + 1) // 2
     caz, saz, clat, slat = _tables(resolution)
-    u, v, w = _frames(a, b)
+    u, v, w = frame
     # unit directions around the axis, one per azimuth slot: (S, n, 3)
     plane = caz[None, :, None] * u[:, None, :] + saz[None, :, None] * v[:, None, :]
 
@@ -211,44 +201,19 @@ def _capsule_vertices(
     return out
 
 
-def _sphere_vertices(
-    a: np.ndarray, b: np.ndarray, radius: float, resolution: int
-) -> np.ndarray:
-    """Vertices (S, (2m-1)n+2, 3) for degenerate capsules, axis fixed to z."""
-    n = resolution
-    m = (resolution + 1) // 2
-    caz, saz, clat, slat = _tables(resolution)
-    center = (a + b) / 2.0
-    t = np.arange(1, 2 * m) - m  # latitudes 90*t/m for t in [1-m, m-1]
-    cl = clat[np.abs(t)]
-    sl = np.sign(t) * slat[np.abs(t)]
-    plane = np.zeros((n, 3))
-    plane[:, 0] = caz
-    plane[:, 1] = saz
-    rings = center[:, None, None, :] + radius * (
-        cl[None, :, None, None] * plane[None, None, :, :]
-        + sl[None, :, None, None] * np.array([0.0, 0.0, 1.0])[None, None, None, :]
-    )
-    S = len(a)
-    out = np.empty((S, (2 * m - 1) * n + 2, 3))
-    out[:, 0] = center - radius * np.array([0.0, 0.0, 1.0])
-    out[:, 1:-1] = rings.reshape(S, (2 * m - 1) * n, 3)
-    out[:, -1] = center + radius * np.array([0.0, 0.0, 1.0])
-    return out
+def _ladder_counts(resolution: int, nrings: int) -> tuple[int, int]:
+    """(vertex, triangle) counts of a ladder: pole, ``nrings`` rings, pole."""
+    return nrings * resolution + 2, 2 * nrings * resolution
 
 
 def capsule_counts(resolution: int) -> tuple[int, int]:
     """(vertex, triangle) counts of one non-degenerate capsule mesh."""
-    n = resolution
-    m = (resolution + 1) // 2
-    return 2 * m * n + 2, 4 * m * n
+    return _ladder_counts(resolution, 2 * ((resolution + 1) // 2))
 
 
 def sphere_counts(resolution: int) -> tuple[int, int]:
     """(vertex, triangle) counts of one degenerate (sphere) capsule mesh."""
-    n = resolution
-    m = (resolution + 1) // 2
-    return (2 * m - 1) * n + 2, 2 * n * (2 * m - 1)
+    return _ladder_counts(resolution, 2 * ((resolution + 1) // 2) - 1)
 
 
 def build_wireframe(spec: WireframeSpec, legacy_overshoot: bool = False) -> TriangleMesh:
@@ -257,28 +222,37 @@ def build_wireframe(spec: WireframeSpec, legacy_overshoot: bool = False) -> Tria
 
 
 def tessellate_segments(plan: SegmentPlan, res: int) -> TriangleMesh:
-    a, b = plan.a, plan.b
-    is_sphere = _is_sphere(plan)
+    """One closed ladder mesh per segment, in plan order, from one generator.
 
-    v_cap, f_cap = capsule_counts(res)
-    v_sph, f_sph = sphere_counts(res)
-    vcounts = np.where(is_sphere, v_sph, v_cap)
-    fcounts = np.where(is_sphere, f_sph, f_cap)
+    A capsule has 2m rings.  A sphere is the capsule built with both ends at
+    the segment midpoint in the fixed frame x, y, z, less its bottom equator
+    ring (ring m-1), which repeats the top one: 2m-1 rings.
+    """
+    m = (res + 1) // 2
+    is_sphere = _is_sphere(plan)
+    vcounts, fcounts = _ladder_counts(res, np.where(is_sphere, 2 * m - 1, 2 * m))
     voff = np.concatenate([[0], np.cumsum(vcounts)])
     foff = np.concatenate([[0], np.cumsum(fcounts)])
 
     vertices = np.empty((int(voff[-1]), 3), dtype=np.float64)
     triangles = np.empty((int(foff[-1]), 3), dtype=np.int32)
-    component_ids = np.repeat(np.arange(len(a), dtype=np.int32), fcounts)
+    component_ids = np.repeat(np.arange(len(plan), dtype=np.int32), fcounts)
 
-    for mask, nv, nf, make, template in (
-        (~is_sphere, v_cap, f_cap, _capsule_vertices, _capsule_template(res)),
-        (is_sphere, v_sph, f_sph, _sphere_vertices, _sphere_template(res)),
-    ):
-        idx = np.flatnonzero(mask)
+    for sphere in (False, True):
+        idx = np.flatnonzero(is_sphere == sphere)
         if len(idx) == 0:
             continue
-        verts = make(a[idx], b[idx], plan.radius, res)
+        a, b = plan.a[idx], plan.b[idx]
+        if sphere:
+            a = b = (a + b) / 2.0
+            frame = np.broadcast_to(np.eye(3)[:, None, :], (3, len(idx), 3))
+        else:
+            frame = _frames(a, b)
+        verts = _capsule_vertices(a, b, frame, plan.radius, res)
+        if sphere:
+            verts = np.delete(verts, np.s_[1 + (m - 1) * res : 1 + m * res], axis=1)
+        template = _ladder_template(res, 2 * m - sphere)
+        nv, nf = verts.shape[1], len(template)
         vtargets = (voff[idx][:, None] + np.arange(nv)[None, :]).ravel()
         vertices[vtargets] = verts.reshape(-1, 3)
         tvals = template[None, :, :] + voff[idx][:, None, None].astype(np.int32)

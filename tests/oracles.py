@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: ranks come
 from Fraction/GF(p) Gaussian elimination rather than Smith normal form,
 determinants from Bareiss elimination, rotations from the axis-angle formula,
-and Euler characteristics from raw vertex/edge/face counting.
+Euler characteristics from raw vertex/edge/face counting, sphere struts from
+their own latitude/longitude grid and ASCII STL from one line per format call.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from identispace.geom import cosd, sind
 
 
 def rational_rank(mat) -> int:
@@ -188,3 +191,64 @@ def random_delta_complex(rng: random.Random, max_dim: int = 3):
         levels.append(list(seen))
     levels.reverse()
     return levels
+
+
+def sphere_vertices(a, b, radius: float, resolution: int) -> np.ndarray:
+    """Vertices (S, (2m-1)n+2, 3) of sphere struts about (a+b)/2, axis fixed to z.
+
+    Pole, then 2m-1 rings at latitudes 90*t/m for t in [1-m, m-1], each
+    sampled at n azimuths, then the other pole.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = resolution
+    m = (resolution + 1) // 2
+    caz, saz = cosd(360.0 * np.arange(n) / n), sind(360.0 * np.arange(n) / n)
+    clat, slat = cosd(90.0 * np.arange(m) / m), sind(90.0 * np.arange(m) / m)
+    center = (a + b) / 2.0
+    t = np.arange(1, 2 * m) - m
+    cl = clat[np.abs(t)]
+    sl = np.sign(t) * slat[np.abs(t)]
+    plane = np.zeros((n, 3))
+    plane[:, 0] = caz
+    plane[:, 1] = saz
+    rings = center[:, None, None, :] + radius * (
+        cl[None, :, None, None] * plane[None, None, :, :]
+        + sl[None, :, None, None] * np.array([0.0, 0.0, 1.0])[None, None, None, :]
+    )
+    S = len(a)
+    out = np.empty((S, (2 * m - 1) * n + 2, 3))
+    out[:, 0] = center - radius * np.array([0.0, 0.0, 1.0])
+    out[:, 1:-1] = rings.reshape(S, (2 * m - 1) * n, 3)
+    out[:, -1] = center + radius * np.array([0.0, 0.0, 1.0])
+    return out
+
+
+def ascii_stl_per_facet(vertices, triangles, name: str = "identispace-forge") -> bytes:
+    """ASCII STL of float32-rounded corners, one facet and one line at a time.
+
+    Normals are the float32-rounded unit cross products of the float32
+    corners, zero for zero-area triangles; numbers print with 9 significant
+    digits.
+    """
+    v32 = np.asarray(vertices, dtype=np.float64).astype(np.float32)
+    corners = v32[np.asarray(triangles)]
+    p0 = corners[:, 0].astype(np.float64)
+    cr = np.cross(corners[:, 1] - p0, corners[:, 2] - p0)
+    length = np.sqrt((cr * cr).sum(axis=1))
+    nz = length > 0.0
+    cr[nz] /= length[nz, None]
+    cr[~nz] = 0.0
+    normals = cr.astype(np.float32)
+    lines = [f"solid {name}"]
+    for k in range(len(corners)):
+        nx, ny, nz_ = (float(c) for c in normals[k])
+        lines.append(f"  facet normal {nx:.9g} {ny:.9g} {nz_:.9g}")
+        lines.append("    outer loop")
+        for corner in corners[k]:
+            x, y, z = (float(c) for c in corner)
+            lines.append(f"      vertex {x:.9g} {y:.9g} {z:.9g}")
+        lines.append("    endloop")
+        lines.append("  endfacet")
+    lines.append(f"endsolid {name}")
+    lines.append("")
+    return "\n".join(lines).encode("ascii")

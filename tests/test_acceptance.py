@@ -235,9 +235,10 @@ def test_criterion_5_closure():
 
 
 def _transversal_curve(params: SurfaceParams, i: int, per_step: int) -> np.ndarray:
-    ts = [j + k / per_step for j in range(params.long_ribs) for k in range(per_step)]
-    ts.append(float(params.long_ribs))
-    return np.array([klein_point(i, t, params) for t in ts])
+    """Samples (long_ribs*per_step+1, 3) of fiber i at j + k/per_step, then long_ribs."""
+    steps = np.arange(params.long_ribs)[:, None] + np.arange(per_step) / per_step
+    ts = np.append(steps.ravel(), params.long_ribs)
+    return np.stack(np.broadcast_arrays(*klein_point(i, ts, params)), axis=-1)
 
 
 @criterion(6, "oscillation amplitude separates paired fibers")

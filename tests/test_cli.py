@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from identispace import cli
 from identispace.cli import CONFIG_ENV_VAR, RunConfig, load_config_file, main, resolve_config
 from identispace.mesh_io import TriangleMesh, write_stl
 from identispace.wireframe import capsule_counts, sphere_counts
@@ -77,6 +78,10 @@ def test_generate_roman_reports_degenerate_capsules(tmp_path, capsys):
         (["generate", "--surface", "klein", "--amplitude", "nan"], None),
         (["generate", "--surface", "torus"], "thickness = inf\n"),
         (["sample", "--outer-radius", "inf", "0", "0"], None),
+        (["sample", "inf", "0"], None),
+        # i is finite but its angle i * 360 / lat_ribs overflows
+        (["sample", "--", "-1e308", "0"], None),
+        (["sample", "nan", "0"], None),
     ],
 )
 def test_non_finite_values_rejected(tmp_path, capsys, argv, config):
@@ -90,6 +95,23 @@ def test_non_finite_values_rejected(tmp_path, capsys, argv, config):
     code, text, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error:") and "finite" in err
+    assert text == ""
+    assert not out.exists()
+
+
+def test_generate_rejects_spec_past_stl_triangle_limit(tmp_path, capsys, monkeypatch):
+    # 56 capsules of 4 * 20000 * 40000 = 3.2e9 triangles each; the check must
+    # come before tessellation, which would otherwise allocate them
+    def no_tessellation(*_args):
+        raise AssertionError("tessellated a spec past the STL limit")
+
+    monkeypatch.setattr(cli, "tessellate_segments", no_tessellation)
+    out = tmp_path / "x.stl"
+    small = [*SMALL[:-1], "40000"]
+    code, text, err = run(["generate", *small, "--output", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "STL limit" in err
+    assert str(56 * capsule_counts(40000)[1]) in err
     assert text == ""
     assert not out.exists()
 
@@ -295,3 +317,25 @@ def test_bad_config_value(tmp_path, capsys):
         ["sample", "--surface", "torus", "--config", str(cfg_path), "0", "0"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["homology"], "space = foo"),
+        (["generate"], "surface = cube"),
+        (["sample", "0", "0"], "surface = cube"),
+    ],
+)
+def test_config_choice_outside_flag_choices(tmp_path, capsys, argv, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"# run\n{line}\n")
+    out = tmp_path / "x.stl"
+    extra = ["--output", str(out)] if argv[0] == "generate" else []
+    code, text, err = run([argv[0], "--config", str(cfg_path), *extra, *argv[1:]], capsys)
+    key = line.split()[0]
+    assert code == 2
+    assert err.startswith(f"error: {cfg_path}:2: bad value for {key}")
+    assert "Traceback" not in err
+    assert text == ""
+    assert not out.exists()

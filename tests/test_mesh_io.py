@@ -2,8 +2,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from identispace import mesh_io
 from identispace.geom import Vec3
 from identispace.mesh_io import (
     STL_HEADER_TAG,
@@ -14,6 +15,7 @@ from identispace.mesh_io import (
     write_stl,
 )
 
+from oracles import ascii_stl_per_facet
 from test_wireframe import one_capsule
 
 
@@ -86,6 +88,47 @@ def test_write_rejects_huge_triangle_count():
     mesh.component_ids = ids
     with pytest.raises(ValueError):
         write_stl(mesh)
+
+
+# --- write: ASCII against the per-facet oracle -------------------------------
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+coordinates = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, F32_MAX, -F32_MAX, F32_TINY, -F32_TINY, 1e30, -1e-30]),
+)
+
+
+@st.composite
+def random_meshes(draw):
+    nv = draw(st.integers(min_value=1, max_value=8))
+    vertices = draw(st.lists(st.tuples(coordinates, coordinates, coordinates),
+                             min_size=nv, max_size=nv))
+    index = st.integers(min_value=0, max_value=nv - 1)
+    triangles = draw(st.lists(st.tuples(index, index, index), max_size=12))
+    return TriangleMesh(np.array(vertices, float), np.array(triangles, np.int32))
+
+
+ZERO_AREA_AND_EXTREMES = TriangleMesh(
+    np.array([(0.0, -0.0, 0.0), (1, 1, 1), (2, 2, 2), (F32_MAX, -F32_TINY, -0.0),
+              (-F32_MAX, F32_TINY, 1e-30)]),
+    np.array([(0, 1, 2), (0, 3, 4), (1, 1, 4), (4, 3, 0)], np.int32),
+)
+
+
+@given(random_meshes())
+@example(ZERO_AREA_AND_EXTREMES)
+def test_ascii_matches_per_facet_oracle(mesh):
+    assert write_stl(mesh, "ascii") == ascii_stl_per_facet(mesh.vertices, mesh.triangles)
+
+
+def test_chunk_boundaries_leave_bytes_unchanged(monkeypatch):
+    mesh = one_capsule((0.1, 0.2, 0.3), (1, 2, 3), 0.45, 5)
+    whole = write_stl(mesh, "binary"), write_stl(mesh, "ascii")
+    monkeypatch.setattr(mesh_io, "_CHUNK", 7)  # 40 triangles: a partial last chunk
+    assert (write_stl(mesh, "binary"), write_stl(mesh, "ascii")) == whole
+    assert whole[1] == ascii_stl_per_facet(mesh.vertices, mesh.triangles)
 
 
 # --- read / round trip -------------------------------------------------------

@@ -26,6 +26,24 @@ def test_alpha_sweep_runs(tmp_path):
     assert proc.stdout.startswith("amplitude")
 
 
+def test_alpha_sweep_table_is_pinned(tmp_path):
+    # captured from the pointwise fiber sampler; the array sampler must match
+    proc = run_script("alpha_sweep.py", "--per-step", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "amplitude  junction sep (mm)  min sample dist (mm)  note\n"
+        "     0.00             0.0000                0.5817  junction wires overlap\n"
+        "     0.05             1.0000                0.8225  junction wires overlap\n"
+        "     0.10             2.0000                0.8225  junction wires overlap\n"
+        "     0.15             3.0000                0.8225  \n"
+        "     0.20             4.0000                0.8225  \n"
+        "     0.25             5.0000                0.8225  \n"
+        "     0.30             6.0000                0.8225  \n"
+        "     0.40             8.0000                0.8225  \n"
+        "     0.50            10.0000                0.8225  \n"
+    )
+
+
 def test_generate_triptych_draft_writes_three_models(tmp_path):
     proc = run_script("generate_triptych.py", "--draft", "--output-dir", str(tmp_path), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

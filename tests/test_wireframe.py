@@ -19,7 +19,12 @@ from identispace.wireframe import (
     tessellate_segments,
 )
 
-from oracles import mesh_edge_uses, mesh_euler_characteristic, point_segment_distance
+from oracles import (
+    mesh_edge_uses,
+    mesh_euler_characteristic,
+    point_segment_distance,
+    sphere_vertices,
+)
 
 
 def small_spec(kind=SurfaceKind.TORUS, **kw):
@@ -208,6 +213,22 @@ def test_capsule_rejects_bad_inputs():
                 dict(thickness=math.nan), dict(thickness=math.inf)):
         with pytest.raises(ValueError):
             WireframeSpec(surface, **bad)
+
+
+@pytest.mark.parametrize("res", range(4, 17))
+def test_sphere_struts_match_oracle_bit_for_bit(res):
+    a = np.array([(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (1.5, -2.25, 3.0),
+                  (-7.1, 0.3, 12.9), (4.0, 5.0, -6.0)])
+    b = a.copy()
+    b[2] += (1e-11, 0.0, 0.0)
+    b[3] += (0.0, -1e-11, 1e-11)
+    for radius in (0.6, 1.2, 2.5):
+        plan = SegmentPlan(a, b, radius)
+        assert count_degenerate_segments(plan) == len(a)
+        mesh = tessellate_segments(plan, res)
+        expect = sphere_vertices(a, b, radius, res).reshape(-1, 3)
+        assert mesh.vertices.tobytes() == expect.tobytes()  # signed zeros too
+        assert mesh.triangle_count == len(a) * sphere_counts(res)[1]
 
 
 def test_nearly_degenerate_segment_becomes_sphere():
