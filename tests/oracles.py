@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: ranks come
 from Fraction/GF(p) Gaussian elimination rather than Smith normal form,
 determinants from Bareiss elimination, rotations from the axis-angle formula,
 Euler characteristics from raw vertex/edge/face counting, sphere struts from
-their own latitude/longitude grid and ASCII STL from one line per format call.
+their own latitude/longitude grid, ASCII STL from one line per format call
+and mesh reports from a union-find and per-edge use lists.
 """
 
 from __future__ import annotations
@@ -168,6 +169,97 @@ def mesh_edge_uses(triangles) -> dict[frozenset, list[tuple[int, int]]]:
             a, b = t[i], t[(i + 1) % 3]
             uses.setdefault(frozenset((a, b)), []).append((a, b))
     return uses
+
+
+def mesh_report_oracle(vertices, triangles, degenerate_area: float) -> dict:
+    """Every ``MeshReport`` field, from Python loops over triangles and edge uses.
+
+    Components are the classes of a union-find over each triangle's vertices,
+    ordered by their smallest vertex index.  Collapsed edges (a, a) of
+    repeated-index triangles are not edges.  A triangle is degenerate when its
+    float64 cross product, taken one Python float at a time, has squared
+    length at most (2 * degenerate_area)^2.
+    """
+    vertices = [tuple(float(c) for c in v) for v in vertices]
+    triangles = [tuple(int(i) for i in t) for t in triangles]
+    if not triangles:
+        return dict(
+            component_count=0,
+            watertight_per_component=[],
+            euler_characteristic_per_component=[],
+            edge_manifold_per_component=[],
+            boundary_edges_per_component=[],
+            bbox_min=(0.0, 0.0, 0.0),
+            bbox_max=(0.0, 0.0, 0.0),
+            triangle_count=0,
+            degenerate_count=0,
+        )
+
+    parent = {v: v for t in triangles for v in t}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b, c in triangles:
+        for x in (b, c):
+            ra, rx = find(a), find(x)
+            if ra != rx:
+                parent[max(ra, rx)] = min(ra, rx)
+    smallest: dict[int, int] = {}  # root -> smallest member, filled in index order
+    for v in sorted(parent):
+        smallest.setdefault(find(v), v)
+    comp = {r: k for k, r in enumerate(smallest)}
+    ncomp = len(comp)
+
+    verts = [0] * ncomp
+    for v in parent:
+        verts[comp[find(v)]] += 1
+    faces = [0] * ncomp
+    for t in triangles:
+        faces[comp[find(t[0])]] += 1
+    edges = [0] * ncomp
+    unbalanced = [0] * ncomp
+    nonmanifold = [0] * ncomp
+    boundary = [0] * ncomp
+    for key, uses in mesh_edge_uses(triangles).items():
+        if len(key) == 1:
+            continue  # collapsed edge
+        k = comp[find(next(iter(key)))]
+        lo = min(key)
+        forward = sum(1 for a, _ in uses if a == lo)
+        balanced = 2 * forward == len(uses)
+        edges[k] += 1
+        unbalanced[k] += not balanced
+        nonmanifold[k] += not (balanced and len(uses) == 2)
+        boundary[k] += len(uses) == 1
+
+    bound = (2.0 * degenerate_area) ** 2
+    degenerate = 0
+    for a, b, c in triangles:
+        p0, p1, p2 = vertices[a], vertices[b], vertices[c]
+        e1 = [p1[i] - p0[i] for i in range(3)]
+        e2 = [p2[i] - p0[i] for i in range(3)]
+        cx = e1[1] * e2[2] - e1[2] * e2[1]
+        cy = e1[2] * e2[0] - e1[0] * e2[2]
+        cz = e1[0] * e2[1] - e1[1] * e2[0]
+        degenerate += cx * cx + cy * cy + cz * cz <= bound
+
+    return dict(
+        component_count=ncomp,
+        watertight_per_component=[u == 0 for u in unbalanced],
+        euler_characteristic_per_component=[
+            verts[k] - edges[k] + faces[k] for k in range(ncomp)
+        ],
+        edge_manifold_per_component=[u == 0 for u in nonmanifold],
+        boundary_edges_per_component=boundary,
+        bbox_min=tuple(min(v[i] for v in vertices) for i in range(3)),
+        bbox_max=tuple(max(v[i] for v in vertices) for i in range(3)),
+        triangle_count=len(triangles),
+        degenerate_count=degenerate,
+    )
 
 
 def random_delta_complex(rng: random.Random, max_dim: int = 3):

@@ -15,7 +15,7 @@ from identispace.mesh_io import (
     write_stl,
 )
 
-from oracles import ascii_stl_per_facet
+from oracles import ascii_stl_per_facet, mesh_report_oracle
 from test_wireframe import one_capsule
 
 
@@ -285,6 +285,52 @@ def test_component_separation_by_vertex_sharing():
     report = validate(shifted)
     assert report.component_count == 2
     assert list(report.euler_characteristic_per_component) == [2, 2]
+
+
+TETRA_FACES = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]
+
+
+@st.composite
+def report_meshes(draw):
+    """Closed tetrahedra with flipped, dropped and duplicated faces, plus stray
+    (often repeated-index) triangles and unreferenced vertices, shuffled."""
+    nv = draw(st.integers(min_value=1, max_value=10))
+    coordinate = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e-7]),
+        st.floats(min_value=-4, max_value=4),
+    )
+    vertices = draw(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                             min_size=nv, max_size=nv))
+    index = st.integers(min_value=0, max_value=nv - 1)
+    triangles = []
+    tetrahedra = st.permutations(range(nv)).map(lambda p: p[:4])
+    for corners in draw(st.lists(tetrahedra, max_size=3)) if nv >= 4 else []:
+        for face in TETRA_FACES:
+            tri = tuple(corners[k] for k in face)
+            action = draw(st.sampled_from(["keep", "keep", "flip", "drop", "twice"]))
+            if action == "flip":
+                tri = tri[::-1]
+            triangles += [] if action == "drop" else [tri] * (1 + (action == "twice"))
+    triangles += draw(st.lists(st.tuples(index, index, index), max_size=6))
+    triangles = draw(st.permutations(triangles)) if triangles else triangles
+    return TriangleMesh(np.array(vertices, float), np.array(triangles, np.int32))
+
+
+def report_fields(report) -> dict:
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else tuple(value)
+        if isinstance(value, Vec3) else value
+        for name, value in vars(report).items()
+    }
+
+
+@given(report_meshes())
+@example(TriangleMesh(np.zeros((1, 3)), np.zeros((1, 3), np.int32)))  # all collapsed
+@example(TriangleMesh(np.zeros((2, 3)), np.zeros((0, 3), np.int32)))  # no triangles
+@example(TriangleMesh(np.eye(3), np.array([[0, 0, 1], [2, 2, 2], [1, 0, 0]], np.int32)))
+def test_validate_matches_oracle(mesh):
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    assert report_fields(validate(mesh)) == expected
 
 
 def test_bbox():

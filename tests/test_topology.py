@@ -254,6 +254,20 @@ def test_snf_deterministic():
     assert np.array_equal(r1.D, r2.D)
 
 
+def test_snf_pinned_on_mixed_matrix():
+    # units and larger entries mixed; D, U and V are pinned, so any change to
+    # the pivot order or the reduction steps shows up here
+    res = snf_checks(intmat([[4, 6, -2, 0, 3], [2, -1, 8, 5, 0], [0, 9, 6, -3, 12],
+                             [6, 3, 1, 4, -2]]))
+    assert res.D.tolist() == [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                              [0, 0, 0, 6, 0]]
+    assert res.U.tolist() == [[0, -1, 0, 0], [-1, -12, 0, -2], [-82, -24, 31, 63],
+                              [-3108, -909, 1175, 2388]]
+    assert res.V.tolist() == [[0, 0, -19, -13, 104], [1, 0, -33, 18, -83],
+                              [0, 0, 0, -2, 13], [0, 0, 1, 12, -79],
+                              [0, 1, -692, 104, 36]]
+
+
 def test_snf_large_entries_exact():
     rng = random.Random(99)
     a = intmat([[rng.randrange(-10**6, 10**6) for _ in range(6)] for _ in range(6)])
