@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geom import SurfaceKind, SurfaceParams, surface_point
 from .mesh_io import STL_TRIANGLE_LIMIT, StlError, read_stl, validate, write_stl
 from .topology import SpaceName, builtin_complex, format_group, homology
@@ -25,6 +27,7 @@ from .wireframe import (
     capsule_counts,
     count_degenerate_segments,
     plan_segments,
+    segment_count,
     sphere_counts,
     tessellate_segments,
 )
@@ -205,19 +208,32 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     legacy = bool(cfg.legacy_overshoot)
-    segments = plan_segments(spec, legacy)
-    spheres = count_degenerate_segments(segments)
     res = spec.capsule_resolution
+    # a sphere strut has the fewest triangles, so this bounds the count from
+    # below before the plan is built
+    planned = segment_count(spec, legacy)
+    if planned * sphere_counts(res)[1] >= STL_TRIANGLE_LIMIT:
+        print(
+            f"error: {planned * sphere_counts(res)[1]} to {planned * capsule_counts(res)[1]}"
+            " triangles exceed the 32-bit STL limit",
+            file=sys.stderr,
+        )
+        return 2
+    segments = plan_segments(spec, legacy)
+    if not (np.isfinite(segments.a).all() and np.isfinite(segments.b).all()):
+        print(f"error: the {cfg.surface} surface is not finite on this grid", file=sys.stderr)
+        return 2
+    spheres = count_degenerate_segments(segments)
     triangles = (len(segments) - spheres) * capsule_counts(res)[1] + spheres * sphere_counts(res)[1]
     if triangles >= STL_TRIANGLE_LIMIT:
         print(f"error: {triangles} triangles exceed the 32-bit STL limit", file=sys.stderr)
         return 2
-    mesh = tessellate_segments(segments, res)
-    report = validate(mesh)
-    data = write_stl(mesh, "ascii" if cfg.ascii else "binary")
     out_path = cfg.output or f"{cfg.surface}.stl"
     try:
-        with open(out_path, "wb") as fh:
+        with open(out_path, "wb") as fh:  # opened first: an unwritable path fails fast
+            mesh = tessellate_segments(segments, res)
+            report = validate(mesh)
+            data = write_stl(mesh, "ascii" if cfg.ascii else "binary")
             fh.write(data)
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ stay watertight, while any gap, flip or stray border does not.  The stricter
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -60,25 +60,18 @@ class StlError(ValueError):
 
 @dataclass
 class TriangleMesh:
-    """Vertex array (N,3) float64 plus (T,3) index triples.
+    """Vertex array (N,3) float64 plus (T,3) int32 index triples.
 
-    ``component_ids`` labels each triangle with the closed component it was
-    emitted for (capsule index for built wireframes, zeros for read meshes).
+    Components are not stored: :func:`validate` derives them from shared
+    vertex indices.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    component_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.triangles = np.asarray(self.triangles, dtype=np.int32).reshape(-1, 3)
-        if self.component_ids is None:
-            self.component_ids = np.zeros(len(self.triangles), dtype=np.int32)
-        else:
-            self.component_ids = np.asarray(self.component_ids, dtype=np.int32).reshape(-1)
-        if len(self.component_ids) != len(self.triangles):
-            raise ValueError("component_ids length must match triangle count")
 
     @property
     def triangle_count(self) -> int:
@@ -213,12 +206,10 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     first = np.empty(len(ranked), dtype=bool)
     first[0] = True
     np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
-    group_of_rank = np.cumsum(first) - 1
-    inverse = np.empty(len(flat), dtype=np.int64)
-    inverse[order] = group_of_rank
+    inverse = np.empty(len(flat), dtype=np.int32)
+    inverse[order] = np.cumsum(first, dtype=np.int32) - 1
     vertices = ranked[first].view("<f4").astype(np.float64)
-    triangles = inverse.reshape(-1, 3).astype(np.int32)
-    return TriangleMesh(vertices, triangles)
+    return TriangleMesh(vertices, inverse.reshape(-1, 3))
 
 
 def _parse_binary(data: bytes) -> np.ndarray:
@@ -292,55 +283,47 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     """Report connectivity, closedness and quality; never raises on bad geometry.
 
     Components are computed over shared vertex indices (not spatial
-    proximity), so overlapping-but-unwelded components stay separate.
+    proximity), so overlapping-but-unwelded components stay separate.  One
+    chunked pass over the triangles counts degenerate ones and encodes each
+    edge use as ``(lo*nv + hi) << 1 | (runs lo -> hi)``; a single sort then
+    groups the uses of each undirected edge into one run.
     """
     mesh.check_indices()
     tris = mesh.triangles
     nv = len(mesh.vertices)
-    if len(tris) == 0:
+    nt = len(tris)
+    if nt == 0:
         return _empty_report()
 
     # degenerate iff area <= threshold, compared in squared form: |cross|^2 <= (2*thr)^2
     degenerate = 0
     sq_bound = (2.0 * DEGENERATE_AREA) ** 2
-    for start in range(0, len(tris), _CHUNK):
+    keys = np.empty((nt, 3), dtype=np.int64)
+    for start in range(0, nt, _CHUNK):
         t = tris[start : start + _CHUNK]
         p0 = mesh.vertices[t[:, 0]]
         cr = np.cross(mesh.vertices[t[:, 1]] - p0, mesh.vertices[t[:, 2]] - p0)
         degenerate += int(((cr * cr).sum(axis=1) <= sq_bound).sum())
+        tail, head = t.astype(np.int64), t[:, [1, 2, 0]]
+        k = np.minimum(tail, head) * nv + np.maximum(tail, head)
+        k <<= 1
+        k |= tail < head
+        k[tail == head] = -1  # collapsed edge of a repeated-index triangle
+        keys[start : start + _CHUNK] = k
 
-    nt = len(tris)
-    lo = np.empty(3 * nt, dtype=np.int32)
-    hi = np.empty(3 * nt, dtype=np.int32)
-    forward = np.empty(3 * nt, dtype=bool)
-    for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-        s = slice(k * nt, (k + 1) * nt)
-        np.minimum(tris[:, i], tris[:, j], out=lo[s])
-        np.maximum(tris[:, i], tris[:, j], out=hi[s])
-        np.less(tris[:, i], tris[:, j], out=forward[s])
-    keep = lo != hi  # drop collapsed edges of repeated-index triangles
-    if not keep.all():
-        lo, hi, forward = lo[keep], hi[keep], forward[keep]
-
-    if len(lo):
-        keys = np.multiply(lo, np.int64(nv), dtype=np.int64)
-        keys += hi
-        order = np.argsort(keys, kind="stable")
-        ranked = keys[order]
-        first = np.empty(len(ranked), dtype=bool)
-        first[0] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        ne = len(starts)
-        count = np.diff(starts, append=len(ranked))
-        sign = np.where(forward, np.int32(1), np.int32(-1))[order]
-        net = np.add.reduceat(sign, starts)
-        ukeys = ranked[starts]
-        del keys, lo, order, ranked, first, sign, forward, hi
-    else:
-        ne = 0
-        ukeys = np.zeros(0, dtype=np.int64)
-        count = net = np.zeros(0, dtype=np.int64)
+    keys = keys.reshape(-1)
+    keys.sort()
+    keys = keys[np.searchsorted(keys, 0) :]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:] >> 1, keys[:-1] >> 1, out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    ne = len(starts)
+    count = np.diff(starts, append=len(keys))
+    net = 2 * np.add.reduceat(keys & 1, starts) - count
+    ukeys = keys[starts] >> 1
+    del keys
 
     balanced = net == 0
     manifold = (count == 2) & balanced

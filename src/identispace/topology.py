@@ -242,15 +242,22 @@ def smith_normal_form(a: np.ndarray) -> SNFResult:
         for row in v:
             row[dst] += factor * row[src]
 
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero |entry|, row-major tie break
+    def find_pivot(t):
+        # smallest nonzero |entry|, row-major tie break; nothing beats the
+        # first unit, so the scan stops there
         best = None
         for i in range(t, m):
             for j in range(t, n):
                 e = d[i][j]
                 if e != 0 and (best is None or abs(e) < best[0]):
                     best = (abs(e), i, j)
+                    if best[0] == 1:
+                        return best
+        return best
+
+    t = 0
+    while t < min(m, n):
+        best = find_pivot(t)
         if best is None:
             break
         swap_rows(t, best[1])
@@ -278,8 +285,12 @@ def smith_normal_form(a: np.ndarray) -> SNFResult:
                 continue
             break
 
-        # pivot must divide the rest of the submatrix for the chain to hold
+        # pivot must divide the rest of the submatrix for the chain to hold;
+        # a unit divides everything
         pivot = d[t][t]
+        if abs(pivot) == 1:
+            t += 1
+            continue
         offender = None
         for i in range(t + 1, m):
             for j in range(t + 1, n):

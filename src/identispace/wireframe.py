@@ -34,6 +34,7 @@ __all__ = [
     "SegmentPlan",
     "SPHERE_EPS",
     "plan_segments",
+    "segment_count",
     "count_degenerate_segments",
     "tessellate_segments",
     "build_wireframe",
@@ -107,6 +108,13 @@ def plan_segments(spec: WireframeSpec, legacy_overshoot: bool = False) -> Segmen
     outer, inner = rib(spec.outer_density, True), rib(spec.inner_density, False)
     a, b = (np.concatenate(ends, axis=2).reshape(-1, 3) for ends in zip(outer, inner))
     return SegmentPlan(a, b, spec.thickness)
+
+
+def segment_count(spec: WireframeSpec, legacy_overshoot: bool = False) -> int:
+    """``len(plan_segments(spec, legacy_overshoot))``, without planning."""
+    p = spec.surface
+    per_point = spec.outer_density + spec.inner_density + (2 if legacy_overshoot else 0)
+    return (2 * p.lat_ribs + 1) * (p.long_ribs + 1) * per_point
 
 
 def _is_sphere(plan: SegmentPlan) -> np.ndarray:
@@ -236,7 +244,6 @@ def tessellate_segments(plan: SegmentPlan, res: int) -> TriangleMesh:
 
     vertices = np.empty((int(voff[-1]), 3), dtype=np.float64)
     triangles = np.empty((int(foff[-1]), 3), dtype=np.int32)
-    component_ids = np.repeat(np.arange(len(plan), dtype=np.int32), fcounts)
 
     for sphere in (False, True):
         idx = np.flatnonzero(is_sphere == sphere)
@@ -259,4 +266,4 @@ def tessellate_segments(plan: SegmentPlan, res: int) -> TriangleMesh:
         ftargets = (foff[idx][:, None] + np.arange(nf)[None, :]).ravel()
         triangles[ftargets] = tvals.reshape(-1, 3)
 
-    return TriangleMesh(vertices, triangles, component_ids)
+    return TriangleMesh(vertices, triangles)

@@ -116,6 +116,65 @@ def test_generate_rejects_spec_past_stl_triangle_limit(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def fail_if_called(name):
+    def stage(*_args):
+        raise AssertionError(f"{name} ran on a spec that must be rejected first")
+
+    return stage
+
+
+def test_generate_rejects_huge_grid_before_planning(tmp_path, capsys, monkeypatch):
+    # about 3.2e11 segments: planning alone would need terabytes
+    monkeypatch.setattr(cli, "plan_segments", fail_if_called("plan_segments"))
+    out = tmp_path / "x.stl"
+    argv = ["generate", "--lat-ribs", "100000", "--long-ribs", "100000", "--output", str(out)]
+    code, text, err = run(argv, capsys)
+    segments = 200001 * 100001 * 16
+    assert code == 2
+    assert err == (
+        f"error: {segments * sphere_counts(12)[1]} to {segments * capsule_counts(12)[1]}"
+        " triangles exceed the 32-bit STL limit\n"
+    )
+    assert text == ""
+    assert not out.exists()
+
+
+def test_generate_counts_spheres_before_the_exact_limit_check(tmp_path, capsys, monkeypatch):
+    # 98 struts at resolution 4681: as spheres they would fit under 2^32
+    # triangles, but these are all capsules, which do not
+    monkeypatch.setattr(cli, "tessellate_segments", fail_if_called("tessellate_segments"))
+    out = tmp_path / "x.stl"
+    argv = ["generate", "--lat-ribs", "3", "--long-ribs", "6", "--outer-density", "1",
+            "--inner-density", "1", "--resolution", "4681", "--output", str(out)]
+    assert 98 * sphere_counts(4681)[1] < 2**32 <= 98 * capsule_counts(4681)[1]
+    code, text, err = run(argv, capsys)
+    assert code == 2
+    assert err == f"error: {98 * capsule_counts(4681)[1]} triangles exceed the 32-bit STL limit\n"
+    assert text == ""
+    assert not out.exists()
+
+
+def test_generate_unwritable_output_fails_before_building(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "tessellate_segments", fail_if_called("tessellate_segments"))
+    out = tmp_path / "missing" / "x.stl"
+    code, text, err = run(["generate", *SMALL, "--output", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}:")
+    assert text == ""
+    assert not out.exists()
+
+
+def test_generate_non_finite_surface_rejected(tmp_path, capsys):
+    out = tmp_path / "x.stl"
+    argv = ["generate", "--surface", "roman", "--outer-radius", "1e200", *SMALL,
+            "--output", str(out)]
+    code, text, err = run(argv, capsys)
+    assert code == 2
+    assert err == "error: the roman surface is not finite on this grid\n"
+    assert text == ""
+    assert not out.exists()
+
+
 def test_generate_ascii_mode(tmp_path, capsys):
     out = tmp_path / "t.stl"
     code, text, _ = run(

@@ -81,11 +81,9 @@ def test_write_rejects_bad_meshes():
 
 def test_write_rejects_huge_triangle_count():
     tris = np.broadcast_to(np.zeros((1, 3), np.int32), (2**32, 3))
-    ids = np.broadcast_to(np.zeros(1, np.int32), (2**32,))
     mesh = TriangleMesh.__new__(TriangleMesh)
     mesh.vertices = np.zeros((1, 3))
     mesh.triangles = tris
-    mesh.component_ids = ids
     with pytest.raises(ValueError):
         write_stl(mesh)
 

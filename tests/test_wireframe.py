@@ -15,6 +15,7 @@ from identispace.wireframe import (
     capsule_counts,
     count_degenerate_segments,
     plan_segments,
+    segment_count,
     sphere_counts,
     tessellate_segments,
 )
@@ -68,7 +69,7 @@ def test_plan_count_minimal_grid():
 def test_plan_count_mixed_densities():
     spec = small_spec(outer_density=2, inner_density=3)
     segs = plan_segments(spec)
-    assert len(segs) == loop_count_oracle(3, 3, 2, 3)
+    assert len(segs) == loop_count_oracle(3, 3, 2, 3) == segment_count(spec)
     a, _ = cells(segs, spec)
     assert a.shape[2] == 5
 
@@ -127,6 +128,7 @@ def test_legacy_overshoot_counts():
     spec = small_spec()
     segs = plan_segments(spec, legacy_overshoot=True)
     assert len(segs) == loop_count_oracle(3, 3, 1, 1, extra=1) == 112
+    assert segment_count(spec, legacy_overshoot=True) == 112
 
 
 def test_outer_rib_stays_on_profile_circle():
@@ -254,7 +256,6 @@ def test_build_matches_per_capsule_concatenation():
         assert np.array_equal(
             whole.triangles[offset_f : offset_f + nf] - offset_v, single.triangles
         )
-        assert np.all(whole.component_ids[offset_f : offset_f + nf] == idx)
         offset_v += nv
         offset_f += nf
     assert offset_v == len(whole.vertices)
