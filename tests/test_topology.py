@@ -187,6 +187,15 @@ def test_chain_complex_rejects_nonzero_square():
         ChainComplex((d1, d2), (("v", "w"), ("a", "b"), ("T",)))
 
 
+def test_chain_complex_square_checked_past_64_bits():
+    # the one product entry is 2**65, which wraps to 0 in 64-bit arithmetic
+    labels = (("v",), ("a", "b"), ("T",))
+    with pytest.raises(ValueError):
+        ChainComplex((intmat([[2**33, -1]]), intmat([[2**32], [0]])), labels)
+    # here the two terms cancel exactly
+    ChainComplex((intmat([[2**33, -1]]), intmat([[2**32], [2**65]])), labels)
+
+
 # --- random identification complexes ----------------------------------------
 
 
@@ -294,6 +303,76 @@ def test_snf_properties_random(m, n, seed):
 def test_snf_empty_shapes():
     assert smith_normal_form(zeros_mat(0, 3)).D.shape == (0, 3)
     assert smith_normal_form(zeros_mat(3, 0)).D.shape == (3, 0)
+
+
+# --- homology and exactness against the dense SNF --------------------------
+
+_ENTRY = st.one_of(
+    st.sampled_from([1, -1, 2, -2, 3, -4, 6]),
+    st.integers(2**64, 2**70),
+    st.integers(-(2**70), -(2**64)),
+)
+
+
+@st.composite
+def sparse_int_matrices(draw, m=None, n=None, max_side=6):
+    """Mostly-zero integer matrices, empty shapes and entries past 2**64 included."""
+    m = draw(st.integers(0, max_side)) if m is None else m
+    n = draw(st.integers(0, max_side)) if n is None else n
+    a = zeros_mat(m, n)
+    if m and n:
+        cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), _ENTRY)
+        for i, j, x in draw(st.lists(cells, max_size=m * n)):
+            a[i, j] = x
+    return a
+
+
+def snf_oracle(a) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors above 1 from the full dense SNF."""
+    diag = smith_normal_form(a).diagonal
+    return sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrices(), sparse_int_matrices(), st.randoms(use_true_random=False))
+def test_homology_matches_dense_snf_oracle(a, b, rnd):
+    # d2 = [a; 0] and d1 = [0, b] with the middle basis shuffled, so d1 @ d2 = 0,
+    # H_0 = coker b, H_1 = coker a + ker b and H_2 = ker a
+    (m1, n), (p, m2) = a.shape, b.shape
+    perm = list(range(m1 + m2))
+    rnd.shuffle(perm)
+    d2 = np.vstack([a, zeros_mat(m2, n)])[perm]
+    d1 = np.hstack([zeros_mat(p, m1), b])[:, perm]
+    c = ChainComplex((d1, d2), tuple(tuple(map(str, range(k))) for k in (p, m1 + m2, n)))
+    rank_a, torsion_a = snf_oracle(a)
+    rank_b, torsion_b = snf_oracle(b)
+    expected = [
+        AbelianGroup(p - rank_b, torsion_b),
+        AbelianGroup(m1 + m2 - rank_b - rank_a, torsion_a),
+        AbelianGroup(n - rank_a),
+    ]
+    assert [homology(c, k) for k in range(3)] == expected
+    (verdict,) = verify_exact([d2, d1])
+    assert verdict.composition_zero
+    assert verdict.quotient == expected[1]
+    assert verdict.exact == expected[1].is_trivial
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_exact_matches_dense_snf_oracle(data):
+    f_in = data.draw(sparse_int_matrices())
+    f_out = data.draw(sparse_int_matrices(n=f_in.shape[0]))
+    (verdict,) = verify_exact([f_in, f_out])
+    assert verdict.composition_zero == mat_is_zero(f_out @ f_in)
+    if not verdict.composition_zero:
+        assert verdict.quotient is None and not verdict.exact
+        return
+    rank_in, torsion_in = snf_oracle(f_in)
+    rank_out, _ = snf_oracle(f_out)
+    quotient = AbelianGroup(f_in.shape[0] - rank_out - rank_in, torsion_in)
+    assert verdict.quotient == quotient
+    assert verdict.exact == quotient.is_trivial
 
 
 # --- exactness ---------------------------------------------------------------
