@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: ranks come
 from Fraction/GF(p) Gaussian elimination rather than Smith normal form,
 determinants from Bareiss elimination, rotations from the axis-angle formula,
-Euler characteristics from raw vertex/edge/face counting, sphere struts from
+Euler characteristics from raw vertex/edge/face counting, quotient-square
+grid complexes from a union-find over glued grid points, sphere struts from
 their own latitude/longitude grid, ASCII STL from one line per format call
 and mesh reports from a union-find and per-edge use lists.
 """
@@ -283,6 +284,51 @@ def random_delta_complex(rng: random.Random, max_dim: int = 3):
         levels.append(list(seen))
     levels.reverse()
     return levels
+
+
+def quotient_grid(space: str, width: int, height: int, rng: random.Random | None = None):
+    """Vertex, edge and triangle lists of a triangulated quotient square.
+
+    The square [0, width] x [0, height] is cut into unit cells, each split
+    along its (i, j)-(i+1, j+1) diagonal, and its sides are glued for
+    ``space``: "torus" (i, 0) ~ (i, height) and (0, j) ~ (width, j); "klein"
+    flips the second pair to (width, height - j); "rp2" flips both.  Cells are
+    sorted tuples of vertex labels, so cells with equal vertex sets after
+    gluing coincide.  With ``rng`` the labels are permuted and every list is
+    shuffled.
+    """
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def find(p):
+        while parent.get(p, p) != p:
+            p = parent[p]
+        return p
+
+    def glue(p, q):
+        p, q = find(p), find(q)
+        if p != q:
+            parent[max(p, q)] = min(p, q)
+
+    for i in range(width + 1):
+        glue((i, 0), (width - i, height) if space == "rp2" else (i, height))
+    for j in range(height + 1):
+        glue((0, j), (width, j) if space == "torus" else (width, height - j))
+    roots = sorted({find((i, j)) for i in range(width + 1) for j in range(height + 1)})
+    numbers = list(range(len(roots)))
+    if rng is not None:
+        rng.shuffle(numbers)
+    label = {root: k for root, k in zip(roots, numbers)}
+    triangles = set()
+    for i in range(width):
+        for j in range(height):
+            a, b, c, d = (label[find(q)] for q in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)))
+            triangles.update(tuple(sorted(t)) for t in ((a, b, c), (a, c, d)) if len(set(t)) == 3)
+    edges = {e for t in triangles for e in (t[:2], t[::2], t[1:])}
+    cells = [sorted((v,) for v in numbers), sorted(edges), sorted(triangles)]
+    if rng is not None:
+        for level in cells:
+            rng.shuffle(level)
+    return cells
 
 
 def sphere_vertices(a, b, radius: float, resolution: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from identispace import topology
 from identispace.topology import (
     AbelianGroup,
     ChainComplex,
@@ -23,6 +24,7 @@ from oracles import (
     all_minor_gcds,
     det_bareiss,
     mod_p_rank,
+    quotient_grid,
     random_delta_complex,
     rational_rank,
 )
@@ -170,6 +172,33 @@ def test_homology_invariant_under_relabeling(name):
     shuffled = ChainComplex(tuple(boundaries), labels)
     for k in range(c.dimension + 1):
         assert homology(shuffled, k) == homology(c, k)
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["plain", "shuffled"])
+@pytest.mark.parametrize("space", ["torus", "klein", "rp2"])
+def test_homology_of_18x36_quotient_grid(space, shuffled):
+    # the planner's default 18 x 36 parameter grid, as a quotient square
+    expected = {
+        "torus": [AbelianGroup(1), AbelianGroup(2), AbelianGroup(1)],
+        "klein": [AbelianGroup(1), AbelianGroup(1, (2,)), AbelianGroup(0)],
+        "rp2": [AbelianGroup(1), AbelianGroup(0, (2,)), AbelianGroup(0)],
+    }[space]
+    c = complex_from_levels(quotient_grid(space, 18, 36, random.Random(space) if shuffled else None))
+    assert [homology(c, k) for k in range(3)] == expected
+
+
+def test_homology_hands_a_unit_free_remainder_to_snf(monkeypatch):
+    # column 0 has no unit until the pivot at (0, 1) turns its 3 into 3 - 2 = 1
+    seen = []
+
+    def recording_snf(a):
+        seen.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(topology, "smith_normal_form", recording_snf)
+    c = ChainComplex((intmat([[2, 1], [3, 1], [0, 5]]),), (("u", "v", "w"), ("a", "b")))
+    assert [homology(c, k) for k in range(2)] == [AbelianGroup(1), AbelianGroup(0)]
+    assert seen and all(abs(x) != 1 for a in seen for x in a.flat)
 
 
 def test_homology_degree_out_of_range():
