@@ -219,7 +219,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    segments = plan_segments(spec, legacy)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        segments = plan_segments(spec, legacy)
     if not (np.isfinite(segments.a).all() and np.isfinite(segments.b).all()):
         print(f"error: the {cfg.surface} surface is not finite on this grid", file=sys.stderr)
         return 2
@@ -237,6 +238,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             fh.write(data)
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # write_stl found a vertex past the float32 range
+        os.remove(out_path)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.summary_lines():
         print(line)

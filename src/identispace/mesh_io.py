@@ -147,7 +147,8 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytes:
     uint32 triangle count, then 50 bytes per triangle (normal, three vertices
     as float32, zero attribute); total length is exactly 84 + 50*n.  ASCII
     mode emits the float32-rounded coordinates with 9 significant digits so
-    both modes parse back to identical meshes.
+    both modes parse back to identical meshes.  A vertex that is not finite
+    once rounded to float32 raises ``ValueError``.
     """
     if mode not in ("binary", "ascii"):
         raise ValueError(f"mode must be 'binary' or 'ascii', got {mode!r}")
@@ -155,18 +156,20 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytes:
     if n >= STL_TRIANGLE_LIMIT:
         raise ValueError("triangle count exceeds the 32-bit STL limit")
     mesh.check_indices()
-    if len(mesh.vertices) and not np.all(np.isfinite(mesh.vertices)):
-        raise ValueError("mesh contains a non-finite vertex")
+    with np.errstate(over="ignore"):
+        v32 = mesh.vertices.astype("<f4")
+    if not np.isfinite(v32).all():
+        raise ValueError("a vertex is not finite in float32, the STL coordinate type")
 
     if mode == "binary":
         out = np.zeros(84 + 50 * n, dtype=np.uint8)
         out[:80] = np.frombuffer(STL_HEADER_TAG.ljust(80, b"\0"), dtype=np.uint8)
         out[80:84] = np.frombuffer(struct.pack("<I", n), dtype=np.uint8)
-        _fill_records(out[84:].view(_RECORD), mesh)
+        _fill_records(out[84:].view(_RECORD), v32, mesh.triangles)
         return out.tobytes()
 
     records = np.zeros(n, dtype=_RECORD)
-    _fill_records(records, mesh)
+    _fill_records(records, v32, mesh.triangles)
     name = STL_HEADER_TAG.decode("ascii")
     parts = [f"solid {name}\n".encode("ascii")]
     for start in range(0, n, _CHUNK):
@@ -177,11 +180,10 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytes:
     return b"".join(parts)
 
 
-def _fill_records(records: np.ndarray, mesh: TriangleMesh) -> None:
+def _fill_records(records: np.ndarray, v32: np.ndarray, triangles: np.ndarray) -> None:
     """Write each triangle's unit normal and float32 corners into ``records``."""
-    v32 = mesh.vertices.astype("<f4")
     for start in range(0, len(records), _CHUNK):
-        corners = v32[mesh.triangles[start : start + _CHUNK]]
+        corners = v32[triangles[start : start + _CHUNK]]
         chunk = records[start : start + _CHUNK]
         chunk["normal"] = _unit_normals(corners)
         chunk["corners"] = corners
@@ -190,8 +192,8 @@ def _fill_records(records: np.ndarray, mesh: TriangleMesh) -> None:
 def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     """Index a (T,3,3) float32 coordinate soup, welding bit-identical vertices.
 
-    Identity is the 96-bit pattern, so -0.0 and +0.0 (or two NaNs with equal
-    payload) are distinct exactly when their bits are.
+    Identity is the 96-bit pattern, so -0.0 and +0.0 are distinct vertices.
+    A NaN or infinite coordinate raises ``StlError``.
     """
     flat = np.ascontiguousarray(tri_verts.reshape(-1, 3))
     if len(flat) == 0:
@@ -208,8 +210,10 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
     inverse = np.empty(len(flat), dtype=np.int32)
     inverse[order] = np.cumsum(first, dtype=np.int32) - 1
-    vertices = ranked[first].view("<f4").astype(np.float64)
-    return TriangleMesh(vertices, inverse.reshape(-1, 3))
+    vertices = ranked[first].view("<f4")
+    if not np.isfinite(vertices).all():
+        raise StlError("STL has a non-finite vertex coordinate")
+    return TriangleMesh(vertices.astype(np.float64), inverse.reshape(-1, 3))
 
 
 def _parse_binary(data: bytes) -> np.ndarray:
@@ -247,7 +251,8 @@ def _parse_ascii(data: bytes) -> np.ndarray:
         raise StlError(
             f"vertex count mismatch: {facets} facets but {len(coords) // 3} vertices"
         )
-    return np.array(coords, dtype=np.float32).reshape(-1, 3, 3)
+    with np.errstate(over="ignore"):  # out-of-range values become inf, which _weld rejects
+        return np.array(coords, dtype=np.float32).reshape(-1, 3, 3)
 
 
 def read_stl(data: bytes) -> TriangleMesh:
@@ -258,9 +263,11 @@ def read_stl(data: bytes) -> TriangleMesh:
     """
     if data.lstrip()[:5] == b"solid":
         try:
-            return _weld(_parse_ascii(data))
+            corners = _parse_ascii(data)
         except StlError:
             pass  # binary files may legally start with "solid"
+        else:
+            return _weld(corners)
     return _weld(_parse_binary(data))
 
 

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from identispace import cli
 from identispace.cli import CONFIG_ENV_VAR, RunConfig, load_config_file, main, resolve_config
 from identispace.mesh_io import TriangleMesh, write_stl
 from identispace.wireframe import capsule_counts, sphere_counts
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SMALL = [
     "--lat-ribs", "3", "--long-ribs", "3",
@@ -175,6 +181,24 @@ def test_generate_non_finite_surface_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_past_float32_range_reports_one_error(tmp_path):
+    # a subprocess, so that a numpy warning would show on the real stderr
+    argv = ["generate", "--outer-radius", "1e39", "--inner-radius", "1e38", *SMALL]
+    proc = subprocess.run(
+        [sys.executable, "-m", "identispace.cli", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error:") and "float32" in proc.stderr
+    assert not (tmp_path / "torus.stl").exists()
+
+
 def test_generate_ascii_mode(tmp_path, capsys):
     out = tmp_path / "t.stl"
     code, text, _ = run(
@@ -232,6 +256,17 @@ def test_validate_open_surface(tmp_path, capsys):
     code, text, _ = run(["validate", str(path)], capsys)
     assert code == 1
     assert "boundary_edges: 3" in text
+
+
+def test_validate_non_finite_file(tmp_path, capsys):
+    data = bytearray(open_tetra_stl())
+    struct.pack_into("<f", data, 84 + 12, float("-inf"))  # facet 0, corner 0, x
+    path = tmp_path / "inf.stl"
+    path.write_bytes(bytes(data))
+    code, text, err = run(["validate", str(path)], capsys)
+    assert code == 2
+    assert text == ""
+    assert err.startswith("error:") and "non-finite" in err
 
 
 def test_validate_missing_file(capsys):

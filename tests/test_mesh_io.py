@@ -72,11 +72,30 @@ def test_write_rejects_bad_meshes():
     bad = TriangleMesh(np.array([[0, 0, np.inf]]), np.array([[0, 0, 0]], np.int32))
     with pytest.raises(ValueError):
         write_stl(bad)
+    # finite in float64 but past the float32 range; either mode, no overflow warning
+    past_f32 = TriangleMesh(np.array([[0, 0, 1e39], [1, 0, 0], [0, 1, 0]]), np.array([[0, 1, 2]], np.int32))
+    for mode in ("binary", "ascii"):
+        with pytest.raises(ValueError, match="float32"):
+            write_stl(past_f32, mode)
     out_of_range = TriangleMesh(np.eye(3), np.array([[0, 1, 3]], np.int32))
     with pytest.raises(ValueError):
         write_stl(out_of_range)
     with pytest.raises(ValueError):
         write_stl(tetrahedron(), mode="obj")
+
+
+@pytest.mark.parametrize("mode,text", [
+    ("binary", "inf"), ("binary", "nan"),
+    ("ascii", "1e39"), ("ascii", "-inf"), ("ascii", "nan"),
+])
+def test_read_rejects_non_finite_coordinates(mode, text):
+    if mode == "binary":
+        data = bytearray(write_stl(tetrahedron()))
+        struct.pack_into("<f", data, 84 + 50 * 2 + 12 + 4, float(text))  # facet 2, corner 0, y
+    else:
+        data = write_stl(tetrahedron(), "ascii").replace(b"vertex 0 0 0", b"vertex 0 %s 0" % text.encode(), 1)
+    with pytest.raises(StlError, match="non-finite"):
+        read_stl(bytes(data))
 
 
 def test_write_rejects_huge_triangle_count():
