@@ -12,8 +12,6 @@ from identispace.cli import CONFIG_ENV_VAR, RunConfig, load_config_file, main, r
 from identispace.mesh_io import TriangleMesh, write_stl
 from identispace.wireframe import capsule_counts, sphere_counts
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
 SMALL = [
     "--lat-ribs", "3", "--long-ribs", "3",
     "--outer-density", "1", "--inner-density", "1",
@@ -184,10 +182,11 @@ def test_generate_non_finite_surface_rejected(tmp_path, capsys):
 def test_generate_past_float32_range_reports_one_error(tmp_path):
     # a subprocess, so that a numpy warning would show on the real stderr
     argv = ["generate", "--outer-radius", "1e39", "--inner-radius", "1e38", *SMALL]
+    src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "identispace.cli", *argv],
         cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
         capture_output=True,
         text=True,
         timeout=120,
