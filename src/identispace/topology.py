@@ -375,7 +375,6 @@ def _invariant_factors(a: np.ndarray) -> tuple[int, tuple[int, ...]]:
                     elif r in ck:
                         del ck[r]
                         rows[r].discard(k)
-            rows[i] = set()
             cols[j] = {}
             units += 1
             progress = True
