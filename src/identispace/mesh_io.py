@@ -18,6 +18,7 @@ stay watertight, while any gap, flip or stray border does not.  The stricter
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -46,12 +47,18 @@ STL_TRIANGLE_LIMIT = 2**32  # the binary header stores the count as uint32
 
 # one packed 50-byte binary facet record
 _RECORD = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attribute", "<u2")])
+_XYZ = np.dtype([("xyz", "<f8", 3)])  # an ASCII vertex row: loadtxt demands exactly 3 numbers
 _CHUNK = 1 << 16  # triangles per block for memory-bounded passes
 _FACET = (
     "  facet normal %.9g %.9g %.9g\n    outer loop\n"
     + "      vertex %.9g %.9g %.9g\n" * 3
     + "    endloop\n  endfacet\n"
 )
+# The other line breaks of str.splitlines become "\n", so a data line follows a "\n" (the
+# first line is "solid"); str.split also splits at \x1f.  A vertex row follows the first token.
+_NEWLINES = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
+_FACET_LINE = re.compile(rb"\n[ \t\x1f]*facet normal")
+_VERTEX_ROW = re.compile(rb"\n[ \t\x1f]*vertex[^\s\x1f]*[ \t\x1f]*([^\n]*)")
 
 
 class StlError(ValueError):
@@ -229,46 +236,38 @@ def _parse_binary(data: bytes) -> np.ndarray:
 
 
 def _parse_ascii(data: bytes) -> np.ndarray:
+    """(T,3,3) float32 corners: three ``vertex`` rows per ``facet normal`` line."""
+    if not data.isascii():
+        raise StlError("ASCII STL has non-ASCII bytes")
+    text = data.translate(_NEWLINES)
+    rows, facets = _VERTEX_ROW.findall(text), len(_FACET_LINE.findall(text))
+    if len(rows) != 3 * facets or not all(rows):  # loadtxt would skip a blank row
+        raise StlError(f"{facets} facets need {3 * facets} vertex rows with coordinates; "
+                       f"found {len(rows)}, {rows.count(b'')} of them without")
     try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise StlError(f"ASCII STL is not ASCII: {exc}") from None
-    facets = 0
-    coords: list[float] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("facet normal"):
-            facets += 1
-        elif line.startswith("vertex"):
-            parts = line.split()
-            if len(parts) != 4:
-                raise StlError(f"malformed vertex line: {line!r}")
-            try:
-                coords.extend(float(p) for p in parts[1:])
-            except ValueError:
-                raise StlError(f"unparseable vertex coordinates: {line!r}") from None
-    if len(coords) != 9 * facets:
-        raise StlError(
-            f"vertex count mismatch: {facets} facets but {len(coords) // 3} vertices"
-        )
+        coords = np.loadtxt(rows, _XYZ, comments=None)["xyz"] if rows else np.zeros((0, 3))
+    except ValueError as exc:
+        raise StlError(f"malformed vertex row: {str(exc).partition(';')[0]}") from None
     with np.errstate(over="ignore"):  # out-of-range values become inf, which _weld rejects
-        return np.array(coords, dtype=np.float32).reshape(-1, 3, 3)
+        return coords.astype(np.float32).reshape(-1, 3, 3)
 
 
 def read_stl(data: bytes) -> TriangleMesh:
     """Parse STL bytes (binary or ASCII, auto-detected) into a welded mesh.
 
-    Triangle order is preserved; vertex order is the byte-lexicographic order
-    of the welded float32 coordinates.
+    Triangle order is preserved; vertices sort by their (x, y, z) float32 bit
+    patterns read as uint32, so 1.0 < 2.0 < -0.0.
     """
-    if data.lstrip()[:5] == b"solid":
-        try:
-            corners = _parse_ascii(data)
+    if data.lstrip()[:5] != b"solid":
+        return _weld(_parse_binary(data))
+    try:
+        corners = _parse_ascii(data)
+    except StlError as ascii_error:
+        try:  # binary files may legally start with "solid"
+            corners = _parse_binary(data)
         except StlError:
-            pass  # binary files may legally start with "solid"
-        else:
-            return _weld(corners)
-    return _weld(_parse_binary(data))
+            raise ascii_error from None
+    return _weld(corners)
 
 
 def _empty_report() -> MeshReport:

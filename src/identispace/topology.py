@@ -10,15 +10,18 @@ Conventions: boundary matrices have one column per k-cell and one row per
 ``homology`` and ``verify_exact`` need only ranks and invariant factors.  They
 first eliminate +-1 pivots on a sparse copy of each matrix (a unit pivot
 contributes an invariant factor 1 and leaves the Schur complement), then run
-``smith_normal_form`` on the small non-unit remainder.  ``smith_normal_form``
-itself still returns the full D, U and V.  Whether consecutive maps compose
-to zero is checked on the same sparse columns, in exact integer arithmetic.
+``smith_normal_form`` on the small non-unit remainder.  A ``ChainComplex``
+keeps the result for each d_k, so H_0..H_dim reduce every map once.
+``smith_normal_form`` itself still returns the full D, U and V.  Whether
+consecutive maps compose to zero is checked on the same sparse columns, in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -150,6 +153,17 @@ class ChainComplex:
         if not 1 <= k <= self.dimension:
             raise ValueError(f"no boundary map in degree {k}")
         return self.boundaries[k - 1]
+
+    @cached_property
+    def _factors(self) -> dict[int, tuple[int, tuple[int, ...]]]:
+        """Rank and invariant factors above 1 of each d_k reduced so far."""
+        return {}
+
+    def _boundary_factors(self, k: int) -> tuple[int, tuple[int, ...]]:
+        """Rank and invariant factors above 1 of d_k, reduced once per complex."""
+        if k not in self._factors:
+            self._factors[k] = _invariant_factors(self.boundary(k))
+        return self._factors[k]
 
 
 class SpaceName(Enum):
@@ -428,8 +442,8 @@ def homology(c: ChainComplex, k: int) -> AbelianGroup:
     """H_k = ker d_k / im d_{k+1}, with torsion from the invariant factors of d_{k+1}."""
     if not 0 <= k <= c.dimension:
         raise ValueError(f"degree {k} outside 0..{c.dimension}")
-    rank_dk, _ = _invariant_factors(c.boundary(k))
-    rank_up, torsion = _invariant_factors(c.boundary(k + 1))
+    rank_dk, _ = c._boundary_factors(k)
+    rank_up, torsion = c._boundary_factors(k + 1)
     return AbelianGroup(c.rank_of_chain_group(k) - rank_dk - rank_up, torsion)
 
 

@@ -5,8 +5,9 @@ from Fraction/GF(p) Gaussian elimination rather than Smith normal form,
 determinants from Bareiss elimination, rotations from the axis-angle formula,
 Euler characteristics from raw vertex/edge/face counting, quotient-square
 grid complexes from a union-find over glued grid points, sphere struts from
-their own latitude/longitude grid, ASCII STL from one line per format call
-and mesh reports from a union-find and per-edge use lists.
+their own latitude/longitude grid, ASCII STL from one line per format call,
+ASCII STL corners from one ``float`` call per token, and mesh reports from a
+union-find and per-edge use lists.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from identispace.geom import cosd, sind
+from identispace.mesh_io import StlError
 
 
 def rational_rank(mat) -> int:
@@ -390,3 +392,36 @@ def ascii_stl_per_facet(vertices, triangles, name: str = "identispace-forge") ->
     lines.append(f"endsolid {name}")
     lines.append("")
     return "\n".join(lines).encode("ascii")
+
+
+def ascii_corners_per_line(data: bytes) -> np.ndarray:
+    """(T,3,3) float32 corners of ASCII STL bytes, one stripped line at a time.
+
+    Lines come from ``str.splitlines``; a line that starts with ``vertex``
+    must split into exactly four tokens, and the last three go through
+    Python's ``float``.  There must be three vertices per ``facet normal``
+    line.  Python's ``float`` also accepts ``_`` between digits, which
+    numpy's text parser does not.
+    """
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise StlError(f"ASCII STL is not ASCII: {exc}") from None
+    facets = 0
+    coords: list[float] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line.startswith("facet normal"):
+            facets += 1
+        elif line.startswith("vertex"):
+            parts = line.split()
+            if len(parts) != 4:
+                raise StlError(f"malformed vertex line: {line!r}")
+            try:
+                coords.extend(float(p) for p in parts[1:])
+            except ValueError:
+                raise StlError(f"unparseable vertex coordinates: {line!r}") from None
+    if len(coords) != 9 * facets:
+        raise StlError(f"vertex count mismatch: {facets} facets but {len(coords) // 3} vertices")
+    with np.errstate(over="ignore"):
+        return np.array(coords, dtype=np.float32).reshape(-1, 3, 3)

@@ -268,6 +268,23 @@ def test_validate_non_finite_file(tmp_path, capsys):
     assert err.startswith("error:") and "non-finite" in err
 
 
+@pytest.mark.parametrize("vertex_lines,reason", [
+    (["vertex 1 2"], "1 facets need 3 vertex rows"),
+    (["vertex 1 2", "vertex 1 2 3", "vertex 1 2 3"], "malformed vertex row"),
+])
+def test_validate_malformed_ascii_reports_the_ascii_error(tmp_path, capsys, vertex_lines, reason):
+    # the binary fallback fails too; its length error must not hide the real fault
+    lines = ["solid x", "facet normal 0 0 1", "outer loop", *vertex_lines, "endloop", "endfacet",
+             "endsolid x"]
+    path = tmp_path / "malformed.stl"
+    path.write_text("\n".join(lines) + "\n")
+    code, text, err = run(["validate", str(path)], capsys)
+    assert code == 2
+    assert text == ""
+    assert err.startswith(f"error: {reason}")
+    assert "length mismatch" not in err and "Traceback" not in err
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(["validate", "/nonexistent/file.stl"], capsys)
     assert code == 2

@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from identispace import mesh_io
 from identispace.geom import Vec3
@@ -15,7 +15,7 @@ from identispace.mesh_io import (
     write_stl,
 )
 
-from oracles import ascii_stl_per_facet, mesh_report_oracle
+from oracles import ascii_corners_per_line, ascii_stl_per_facet, mesh_report_oracle
 from test_wireframe import one_capsule
 
 
@@ -194,6 +194,79 @@ def test_unparseable_ascii_rejected():
         read_stl(b"solid x\n      vertex 1 2 zebra\nendsolid x\n")
 
 
+# tokens as write_stl prints them, other spellings and non-finite values (all
+# parse; _weld rejects the non-finite ones), and now and then one no parser accepts
+NUMBER_TOKENS = st.one_of(
+    coordinates.map(lambda x: "%.9g" % x),
+    st.sampled_from(["-0", "+0", ".5", "5.", "1E-3", "123456789", "-1.17549435e-38"]),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e39", "-1e39", "1e-50"]),
+)
+BAD_TOKENS = st.sampled_from(["zebra", "1.5e", "0x1p3", "1,5", "--1", "#"])
+# every line break str.splitlines knows in ASCII
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@st.composite
+def ascii_stl_texts(draw):
+    """ASCII STL, mostly well formed, with varied layout and malformed rows.
+
+    Rows get 0, 2 or 4 numbers now and then, facets 2 or 4 vertex lines, and
+    a file may use one line-break style or mix them all.
+    """
+    breaks = draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], LINE_BREAKS]))
+    blanks = st.sampled_from([" ", "\t", "  ", " \t", "\x1f"])
+
+    def rarely():  # about one draw in 40; hypothesis favours the ends of a range
+        return draw(st.integers(0, 39)) == 17
+
+    def row(keyword, count):
+        tokens = [draw(BAD_TOKENS if rarely() else NUMBER_TOKENS) for _ in range(count)]
+        indent = draw(st.sampled_from(["", "  ", "\t", " \t ", "\x1f"]))
+        return indent + keyword + "".join(draw(blanks) + t for t in tokens) + draw(
+            st.sampled_from(["", " ", "\t", "\x1f"]))
+
+    lines = ["solid test"]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines += [row("facet normal", 3), "    outer loop"]
+        for _ in range(draw(st.sampled_from([2, 4])) if rarely() else 3):
+            keyword = "vertexes" if rarely() else "vertex"  # both parsers skip the whole first token
+            lines.append(row(keyword, draw(st.sampled_from([0, 2, 4])) if rarely() else 3))
+        lines += ["    endloop", "  endfacet"] + [""] * draw(st.integers(0, 2))
+    lines.append("endsolid test")
+    return "".join(line + draw(st.sampled_from(breaks)) for line in lines).encode("ascii")
+
+
+def one_facet(*vertex_lines, eol="\n", tail="") -> bytes:
+    """A one-facet ASCII solid; ``tail`` lines go after the facet."""
+    lines = ["solid t", "facet normal 0 0 1", "outer loop", *vertex_lines, "endloop",
+             "endfacet", *tail.splitlines(), "endsolid t"]
+    return "".join(line + eol for line in lines).encode("ascii")
+
+
+@settings(max_examples=150)
+@given(ascii_stl_texts())
+@example(one_facet("vertex 1 2 3", "vertex 4 5 6", "vertex 7 8 9", eol="\r"))
+@example(one_facet("vertex -0 1.00000012 3", "vertex 1e-50 0 0", "vertex 0 0 0", eol="\r\n"))
+@example(one_facet("\tvertex\t1\t2  3 ", "  vertex 1 2 3", "vertex 1 2 3\x1f"))
+@example(one_facet("vertex nan inf 1e39", "vertex -nan -inf -0", "vertex 0 0 0"))
+@example(one_facet(*["vertex 1 2 3"] * 3, tail="vertex"))  # a bare vertex line
+@example(one_facet(*["vertex 1 2 3"] * 3, tail="vertex 1 2 3"))  # 4 vertices for 1 facet
+@example(one_facet("vertex 1 2", "vertex 1 2", "vertex 1 2"))
+@example(one_facet("vertex 1 2 3 4", "vertex 1 2 3", "vertex 1 2 3"))
+@example(one_facet("vertexes 1 2 3", "vertex 1 2 3", "vertex 1 2 3"))
+@example(one_facet("vertex\t\x1f", "vertex 1 2 3", "vertex 1 2 3"))  # whitespace-only row
+def test_ascii_parse_matches_per_line_oracle(data):
+    try:
+        expected = ascii_corners_per_line(data)
+    except StlError:
+        with pytest.raises(StlError):
+            mesh_io._parse_ascii(data)
+        return
+    got = mesh_io._parse_ascii(data)
+    assert got.dtype == np.float32 and got.shape == expected.shape
+    assert np.array_equal(got.view("<u4"), expected.view("<u4"))
+
+
 def test_empty_ascii_solid_is_empty_mesh():
     mesh = read_stl(b"solid empty\nendsolid empty\n")
     assert mesh.triangle_count == 0
@@ -204,6 +277,19 @@ def test_binary_starting_with_solid_falls_back():
     data[0:5] = b"solid"
     mesh = read_stl(bytes(data))
     assert mesh.triangle_count == 4
+
+
+@pytest.mark.parametrize("mode", ["binary", "ascii"])
+def test_vertex_order_is_uint32_order_of_float32_bits(mode):
+    # 1.0 = 0x3f800000 < 2.0 = 0x40000000 < -0.0 = 0x80000000; by little-endian
+    # bytes the order would be 2.0, -0.0, 1.0.  Ties on x fall to y, then z.
+    expected = np.array([(1, 0, 0), (1, 0, 1), (1, 0, -1), (1, 1, 0), (2, 0, 0), (-0.0, 0, 0)])
+    v = expected[[4, 5, 3, 2, 1, 0]]
+    t = np.array([[0, 1, 2], [3, 4, 5]], np.int32)
+    back = read_stl(write_stl(TriangleMesh(v, t), mode))
+    got = back.vertices.astype(np.float32).view("<u4")
+    assert np.array_equal(got, expected.astype(np.float32).view("<u4"))
+    assert np.array_equal(back.vertices[back.triangles], v[t])
 
 
 def test_weld_is_bit_exact_not_value_based():

@@ -201,6 +201,23 @@ def test_homology_hands_a_unit_free_remainder_to_snf(monkeypatch):
     assert seen and all(abs(x) != 1 for a in seen for x in a.flat)
 
 
+@pytest.mark.parametrize("name", list(SpaceName))
+def test_homology_reduces_each_boundary_map_once(monkeypatch, name):
+    # H_0..H_dim, asked twice, need d_0..d_{dim+1} once each
+    reduced = []
+    invariant_factors = topology._invariant_factors
+
+    def counting_factors(a):
+        reduced.append(a.shape)
+        return invariant_factors(a)
+
+    monkeypatch.setattr(topology, "_invariant_factors", counting_factors)
+    c = builtin_complex(name)
+    groups = [homology(c, k) for k in range(c.dimension + 1)]
+    assert [homology(c, k) for k in range(c.dimension + 1)] == groups
+    assert sorted(reduced) == sorted(c.boundary(k).shape for k in range(c.dimension + 2))
+
+
 def test_homology_degree_out_of_range():
     c = builtin_complex(SpaceName.CIRCLE)
     with pytest.raises(ValueError):
