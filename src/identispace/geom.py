@@ -8,9 +8,11 @@ bit-identical, so downstream welding and closure checks see exact
 coincidence instead of last-ulp noise.
 
 Every point function takes scalar or numpy-array parameters (i, j); arrays
-broadcast and give a :class:`Vec3` of arrays.  Array angles still go through
-the scalar trig code, so a grid evaluation equals pointwise evaluation bit
-for bit.
+broadcast and give a :class:`Vec3` of arrays.  Scalars and grids share one
+numpy path, so a grid evaluation equals pointwise evaluation bit for bit.
+The pinned STL bytes rest on numpy's float64 ``cos``/``sin`` matching the C
+library's ``cos``/``sin`` bit for bit; a test checks that against a scalar
+``math`` oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -40,53 +41,28 @@ __all__ = [
 ]
 
 
-def _reduce_degrees(a: float) -> float:
-    if not math.isfinite(a):
-        raise ValueError(f"angle must be finite, got {a} degrees")
-    r = math.fmod(a, 360.0)
-    if r < 0.0:
-        r += 360.0
-    return r
+def _mod_360(a: float | np.ndarray) -> np.ndarray:
+    """``a`` reduced into [0, 360]: ``fmod``, plus 360 for a negative rest
+    (so -1e-20 gives 360.0).  Raises for a non-finite angle."""
+    a = np.asarray(a, dtype=np.float64)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"angle must be finite, got {a[~finite].flat[0]} degrees")
+    return np.mod(a, 360.0)
 
 
-def _per_distinct_angle(f):
-    """Let a scalar degree function take arrays: each distinct angle is
-    evaluated once by ``f`` and gathered back into place."""
-
-    @wraps(f)
-    def g(a):
-        if np.ndim(a) == 0:
-            return f(a)
-        angles, where = np.unique(a, return_inverse=True)
-        return np.array([f(float(x)) for x in angles])[where].reshape(np.shape(a))
-
-    return g
-
-
-@_per_distinct_angle
-def cosd(a: float) -> float:
+def cosd(a: float | np.ndarray) -> float | np.ndarray:
     """Cosine of an angle in degrees, exact at multiples of 90."""
-    r = _reduce_degrees(a)
-    if r == 0.0:
-        return 1.0
-    if r == 90.0 or r == 270.0:
-        return 0.0
-    if r == 180.0:
-        return -1.0
-    return math.cos(math.radians(r))
+    r = _mod_360(a)
+    exact = [r == 0.0, (r == 90.0) | (r == 270.0), r == 180.0]
+    return np.select(exact, [1.0, 0.0, -1.0], np.cos(np.radians(r)))[()]
 
 
-@_per_distinct_angle
-def sind(a: float) -> float:
+def sind(a: float | np.ndarray) -> float | np.ndarray:
     """Sine of an angle in degrees, exact at multiples of 90."""
-    r = _reduce_degrees(a)
-    if r == 0.0 or r == 180.0:
-        return 0.0
-    if r == 90.0:
-        return 1.0
-    if r == 270.0:
-        return -1.0
-    return math.sin(math.radians(r))
+    r = _mod_360(a)
+    exact = [(r == 0.0) | (r == 180.0), r == 90.0, r == 270.0]
+    return np.select(exact, [0.0, 1.0, -1.0], np.sin(np.radians(r)))[()]
 
 
 class Vec3(NamedTuple):

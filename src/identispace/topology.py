@@ -11,17 +11,20 @@ Conventions: boundary matrices have one column per k-cell and one row per
 first eliminate +-1 pivots on a sparse copy of each matrix (a unit pivot
 contributes an invariant factor 1 and leaves the Schur complement), then run
 ``smith_normal_form`` on the small non-unit remainder.  A ``ChainComplex``
-keeps the result for each d_k, so H_0..H_dim reduce every map once.
-``smith_normal_form`` itself still returns the full D, U and V.  Whether
-consecutive maps compose to zero is checked on the same sparse columns, in
-exact integer arithmetic.
+scans each d_k into sparse columns once and keeps each reduction, so the
+d∘d = 0 check and H_0..H_dim share one scan and one reduction per map;
+``verify_exact`` does the same for the maps of its sequence.  Whether
+consecutive maps compose to zero is checked on those columns, in exact
+integer arithmetic.  ``smith_normal_form`` itself still returns the full D,
+U and V.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,10 +80,10 @@ def _sparse_columns(a: np.ndarray) -> list[dict[int, int]]:
     return cols
 
 
-def _composes_to_zero(a: np.ndarray, b: np.ndarray) -> bool:
-    """Exactly whether a @ b == 0, one column of b at a time."""
-    a_cols = _sparse_columns(a)
-    for col in _sparse_columns(b):
+def _composes_to_zero(a_cols: list[dict[int, int]], b_cols: list[dict[int, int]]) -> bool:
+    """Exactly whether a @ b == 0, given both as sparse columns; one column of
+    b at a time."""
+    for col in b_cols:
         acc: dict[int, int] = {}
         for r, x in col.items():
             for i, y in a_cols[r].items():
@@ -134,7 +137,7 @@ class ChainComplex:
                     f"boundary {k} has shape {mat.shape}, expected {expected}"
                 )
         for k in range(2, len(self.labels)):
-            if not _composes_to_zero(self.boundaries[k - 2], self.boundaries[k - 1]):
+            if not _composes_to_zero(self._columns[k - 1], self._columns[k]):
                 raise ValueError(f"d_{k-1} @ d_{k} != 0")
 
     @property
@@ -155,6 +158,11 @@ class ChainComplex:
         return self.boundaries[k - 1]
 
     @cached_property
+    def _columns(self) -> tuple[list[dict[int, int]], ...]:
+        """Sparse columns of d_0..d_{dim+1}, scanned once per complex."""
+        return tuple(_sparse_columns(self.boundary(k)) for k in range(self.dimension + 2))
+
+    @cached_property
     def _factors(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         """Rank and invariant factors above 1 of each d_k reduced so far."""
         return {}
@@ -162,7 +170,7 @@ class ChainComplex:
     def _boundary_factors(self, k: int) -> tuple[int, tuple[int, ...]]:
         """Rank and invariant factors above 1 of d_k, reduced once per complex."""
         if k not in self._factors:
-            self._factors[k] = _invariant_factors(self.boundary(k))
+            self._factors[k] = _invariant_factors(self._columns[k])
         return self._factors[k]
 
 
@@ -350,8 +358,9 @@ def smith_normal_form(a: np.ndarray) -> SNFResult:
     return SNFResult(D=intmat(d, n), U=intmat(u, m), V=intmat(v, n))
 
 
-def _invariant_factors(a: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """Rank of ``a`` and its invariant factors above 1.
+def _invariant_factors(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors above 1 of the matrix a with these sparse
+    columns, which are left unchanged.
 
     Unit pivots are eliminated one at a time on per-column dicts: a pivot
     p = +-1 at (i, j) turns every other column k with an entry in row i into
@@ -360,8 +369,8 @@ def _invariant_factors(a: np.ndarray) -> tuple[int, tuple[int, ...]]:
     the fewest entries is taken, which keeps fill low on boundary matrices.
     The non-unit remainder goes to the dense ``smith_normal_form``.
     """
-    cols = _sparse_columns(a)
-    rows: list[set[int]] = [set() for _ in range(a.shape[0])]
+    cols = [dict(col) for col in columns]
+    rows: defaultdict[int, set[int]] = defaultdict(set)
     for j, col in enumerate(cols):
         for i in col:
             rows[i].add(j)
@@ -472,14 +481,19 @@ def verify_exact(fs: Sequence[np.ndarray]) -> list[ExactnessVerdict]:
             raise ValueError(
                 f"shapes do not compose: {prev.shape} then {nxt.shape}"
             )
+    cols = [_sparse_columns(m) for m in mats]
+
+    @cache
+    def factors(i: int) -> tuple[int, tuple[int, ...]]:
+        return _invariant_factors(cols[i])
+
     verdicts = []
     for p in range(1, len(mats)):
-        f_in, f_out = mats[p - 1], mats[p]
-        if not _composes_to_zero(f_out, f_in):
+        if not _composes_to_zero(cols[p], cols[p - 1]):
             verdicts.append(ExactnessVerdict(p, False, None, False))
             continue
-        rank_in, torsion = _invariant_factors(f_in)
-        rank_out, _ = _invariant_factors(f_out)
-        quotient = AbelianGroup(f_out.shape[1] - rank_out - rank_in, torsion)
+        rank_in, torsion = factors(p - 1)
+        rank_out, _ = factors(p)
+        quotient = AbelianGroup(mats[p].shape[1] - rank_out - rank_in, torsion)
         verdicts.append(ExactnessVerdict(p, True, quotient, quotient.is_trivial))
     return verdicts

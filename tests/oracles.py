@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the code paths under test: ranks come
 from Fraction/GF(p) Gaussian elimination rather than Smith normal form,
-determinants from Bareiss elimination, rotations from the axis-angle formula,
-Euler characteristics from raw vertex/edge/face counting, quotient-square
-grid complexes from a union-find over glued grid points, sphere struts from
-their own latitude/longitude grid, ASCII STL from one line per format call,
-ASCII STL corners from one ``float`` call per token, and mesh reports from a
+determinants from Bareiss elimination, degree trig from ``math`` one angle
+at a time, rotations from the axis-angle formula, Euler characteristics from
+raw vertex/edge/face counting, quotient-square grid complexes from a
+union-find over glued grid points, sphere struts from their own
+latitude/longitude grid, ASCII STL from one line per format call, ASCII STL
+corners from one ``float`` call per token, and mesh reports from a
 union-find and per-edge use lists.
 """
 
@@ -19,7 +20,6 @@ from itertools import combinations
 
 import numpy as np
 
-from identispace.geom import cosd, sind
 from identispace.mesh_io import StlError
 
 
@@ -136,6 +136,39 @@ def axis_angle_matrix(axis: tuple[float, float, float], degrees: float):
         [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
         [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
     ]
+
+
+def _reduce_degrees(a: float) -> float:
+    if not math.isfinite(a):
+        raise ValueError(f"angle must be finite, got {a} degrees")
+    r = math.fmod(a, 360.0)
+    if r < 0.0:
+        r += 360.0
+    return r
+
+
+def cosd_scalar(a: float) -> float:
+    """Degree cosine one angle at a time through ``math``, exact at multiples of 90."""
+    r = _reduce_degrees(a)
+    if r == 0.0:
+        return 1.0
+    if r == 90.0 or r == 270.0:
+        return 0.0
+    if r == 180.0:
+        return -1.0
+    return math.cos(math.radians(r))
+
+
+def sind_scalar(a: float) -> float:
+    """Degree sine one angle at a time through ``math``, exact at multiples of 90."""
+    r = _reduce_degrees(a)
+    if r == 0.0 or r == 180.0:
+        return 0.0
+    if r == 90.0:
+        return 1.0
+    if r == 270.0:
+        return -1.0
+    return math.sin(math.radians(r))
 
 
 def mat_apply(mat, v):
@@ -342,8 +375,12 @@ def sphere_vertices(a, b, radius: float, resolution: int) -> np.ndarray:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n = resolution
     m = (resolution + 1) // 2
-    caz, saz = cosd(360.0 * np.arange(n) / n), sind(360.0 * np.arange(n) / n)
-    clat, slat = cosd(90.0 * np.arange(m) / m), sind(90.0 * np.arange(m) / m)
+    azimuth = (360.0 * np.arange(n) / n).tolist()
+    latitude = (90.0 * np.arange(m) / m).tolist()
+    caz = np.array([cosd_scalar(x) for x in azimuth])
+    saz = np.array([sind_scalar(x) for x in azimuth])
+    clat = np.array([cosd_scalar(x) for x in latitude])
+    slat = np.array([sind_scalar(x) for x in latitude])
     center = (a + b) / 2.0
     t = np.arange(1, 2 * m) - m
     cl = clat[np.abs(t)]

@@ -20,7 +20,7 @@ from identispace.geom import (
     torus_point,
 )
 
-from oracles import axis_angle_matrix, mat_apply
+from oracles import axis_angle_matrix, cosd_scalar, mat_apply, sind_scalar
 
 TORUS = SurfaceParams(SurfaceKind.TORUS)
 KLEIN = SurfaceParams(SurfaceKind.KLEIN)
@@ -71,6 +71,34 @@ grid_angles = st.builds(
 def test_array_trig_matches_scalar_bit_for_bit(values):
     for f in (cosd, sind):
         assert f(np.array(values)).tobytes() == np.array([f(a) for a in values]).tobytes()
+
+
+# quadrant angles and their laps, both zeros among them
+quadrant_angles = st.builds(
+    lambda q, lap: q * 90.0 + lap * 360.0, st.integers(-4, 4), st.integers(-8, 8)
+) | st.sampled_from([0.0, -0.0])
+
+
+@given(st.lists(grid_angles | quadrant_angles | st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_trig_matches_scalar_math_oracle_bit_for_bit(values):
+    for f, oracle in ((cosd, cosd_scalar), (sind, sind_scalar)):
+        expect = np.array([oracle(a) for a in values]).tobytes()
+        assert f(np.array(values)).tobytes() == expect
+        assert np.array([f(a) for a in values]).tobytes() == expect
+
+
+@pytest.mark.parametrize(
+    "angles, named",
+    [
+        (np.array([0.0, np.inf]), "inf"),
+        (np.array([[0.0, np.nan], [-np.inf, 1.0]]), "nan"),  # array order, not sorted
+        (-np.inf, "-inf"),
+    ],
+)
+def test_non_finite_angle_error_names_the_first_one(angles, named):
+    for f in (cosd, sind):
+        with pytest.raises(ValueError, match=rf"^angle must be finite, got {named} degrees$"):
+            f(angles)
 
 
 # --- rotation about z ---------------------------------------------------------

@@ -201,21 +201,42 @@ def test_homology_hands_a_unit_free_remainder_to_snf(monkeypatch):
     assert seen and all(abs(x) != 1 for a in seen for x in a.flat)
 
 
+def recorded_calls(monkeypatch, name):
+    """Wrap ``topology.<name>`` so that each call appends its argument to the
+    returned list."""
+    calls = []
+    original = getattr(topology, name)
+
+    def recording(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(topology, name, recording)
+    return calls
+
+
+def columns_key(cols):
+    return tuple(tuple(sorted(col.items())) for col in cols)
+
+
+def dense_key(a):
+    return tuple(
+        tuple((i, int(x)) for i, x in enumerate(a[:, j]) if x) for j in range(a.shape[1])
+    )
+
+
 @pytest.mark.parametrize("name", list(SpaceName))
 def test_homology_reduces_each_boundary_map_once(monkeypatch, name):
-    # H_0..H_dim, asked twice, need d_0..d_{dim+1} once each
-    reduced = []
-    invariant_factors = topology._invariant_factors
-
-    def counting_factors(a):
-        reduced.append(a.shape)
-        return invariant_factors(a)
-
-    monkeypatch.setattr(topology, "_invariant_factors", counting_factors)
+    # building the complex and H_0..H_dim, asked twice, scan and reduce
+    # d_0..d_{dim+1} once each
+    scanned = recorded_calls(monkeypatch, "_sparse_columns")
+    reduced = recorded_calls(monkeypatch, "_invariant_factors")
     c = builtin_complex(name)
     groups = [homology(c, k) for k in range(c.dimension + 1)]
     assert [homology(c, k) for k in range(c.dimension + 1)] == groups
-    assert sorted(reduced) == sorted(c.boundary(k).shape for k in range(c.dimension + 2))
+    maps = sorted(dense_key(c.boundary(k)) for k in range(c.dimension + 2))
+    assert sorted(dense_key(a) for a in scanned) == maps
+    assert sorted(columns_key(cols) for cols in reduced) == maps
 
 
 def test_homology_degree_out_of_range():
@@ -449,6 +470,20 @@ def test_nonzero_composition_reported():
     verdicts = verify_exact([identity_mat(1), identity_mat(1)])
     assert not verdicts[0].composition_zero
     assert not verdicts[0].exact
+
+
+@pytest.mark.parametrize("name", list(SpaceName))
+def test_verify_exact_scans_and_reduces_each_map_once(monkeypatch, name):
+    # the chain complex as a sequence 0 -> C_dim -> ... -> C_0 -> 0: each
+    # interior map is incoming at one position and outgoing at the next
+    c = builtin_complex(name)
+    maps = [c.boundary(k) for k in range(c.dimension + 1, -1, -1)]
+    scanned = recorded_calls(monkeypatch, "_sparse_columns")
+    reduced = recorded_calls(monkeypatch, "_invariant_factors")
+    verdicts = verify_exact(maps)
+    assert [v.quotient for v in verdicts] == EXPECTED_HOMOLOGY[name][::-1]
+    assert [dense_key(a) for a in scanned] == [dense_key(a) for a in maps]
+    assert sorted(columns_key(cols) for cols in reduced) == sorted(dense_key(a) for a in maps)
 
 
 def test_shape_mismatch_rejected():
