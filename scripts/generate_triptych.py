@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Generate the full triptych: torus, Klein bottle and Roman surface STLs.
 
-Writes one binary STL per surface and prints the validation report for each.
-Default parameters produce ~300 MB files; pass --draft for quick small models.
+Runs ``identispace generate`` once per surface, writing one binary STL each
+and printing its validation report.  Default parameters produce ~300 MB
+files; pass --draft for quick small models.  Exits with the worst exit code
+of the three runs.
 """
 
 import argparse
-import gc
+import contextlib
+import io
 import os
 import time
 
-from identispace.geom import SurfaceKind, SurfaceParams
-from identispace.mesh_io import validate, write_stl
-from identispace.wireframe import WireframeSpec, build_wireframe
+from identispace import cli
+from identispace.geom import SurfaceKind
+
+DRAFT_FLAGS = ["--lat-ribs", "8", "--long-ribs", "16", "--outer-density", "2",
+               "--inner-density", "2", "--resolution", "8"]
 
 
 def main() -> int:
@@ -26,25 +31,18 @@ def main() -> int:
     args = parser.parse_args()
     os.makedirs(args.output_dir, exist_ok=True)
 
+    status = 0
     for kind in SurfaceKind:
         start = time.perf_counter()
-        if args.draft:
-            surface = SurfaceParams(kind, lat_ribs=8, long_ribs=16)
-            spec = WireframeSpec(surface, outer_density=2, inner_density=2,
-                                 capsule_resolution=8)
-        else:
-            spec = WireframeSpec(SurfaceParams(kind))
-        mesh = build_wireframe(spec)
-        report = validate(mesh)
         path = os.path.join(args.output_dir, f"{kind.value}.stl")
-        with open(path, "wb") as fh:
-            fh.write(write_stl(mesh))
+        argv = ["generate", "--surface", kind.value, "--output", path]
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            status = max(status, cli.main(argv + DRAFT_FLAGS if args.draft else argv))
         print(f"== {kind.value} -> {path} [{time.perf_counter() - start:.1f}s]")
-        for line in report.summary_lines():
+        for line in report.getvalue().splitlines():
             print(f"   {line}")
-        del mesh
-        gc.collect()
-    return 0
+    return status
 
 
 if __name__ == "__main__":

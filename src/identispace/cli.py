@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,15 +34,34 @@ from .wireframe import (
 
 CONFIG_ENV_VAR = "IDENTISPACE_CONFIG"
 
-_INT_KEYS = {"lat-ribs", "long-ribs", "outer-density", "inner-density", "resolution", "dim"}
-_FLOAT_KEYS = {"outer-radius", "inner-radius", "thickness", "amplitude"}
-_BOOL_KEYS = {"ascii", "legacy-overshoot"}
-_STR_KEYS = {"surface", "space", "output"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
-_CHOICES = {
-    "surface": [k.value for k in SurfaceKind],
-    "space": [s.value for s in SpaceName],
+# Every option, declared once: its argparse settings type a flag and the same
+# settings type a config-file value.  ``config`` is a flag only.
+_OPTIONS: dict[str, dict] = {
+    "surface": {"choices": [k.value for k in SurfaceKind]},
+    "outer-radius": {"type": float, "metavar": "MM"},
+    "inner-radius": {"type": float, "metavar": "MM"},
+    "lat-ribs": {"type": int, "metavar": "N"},
+    "long-ribs": {"type": int, "metavar": "N"},
+    "amplitude": {"type": float, "metavar": "A"},
+    "config": {"metavar": "PATH"},
+    "outer-density": {"type": int, "metavar": "N"},
+    "inner-density": {"type": int, "metavar": "N"},
+    "thickness": {"type": float, "metavar": "MM"},
+    "resolution": {"type": int, "metavar": "N"},
+    "legacy-overshoot": {"action": "store_true"},
+    "output": {"metavar": "PATH"},
+    "ascii": {"action": "store_true"},
+    "space": {"choices": [s.value for s in SpaceName]},
+    "dim": {"type": int, "metavar": "K"},
 }
+_SURFACE_FLAGS = ("surface", "outer-radius", "inner-radius", "lat-ribs", "long-ribs",
+                  "amplitude", "config")
+_GENERATE_FLAGS = (*_SURFACE_FLAGS, "outer-density", "inner-density", "thickness",
+                   "resolution", "legacy-overshoot", "output", "ascii")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+_DEFAULT_SPEC = WireframeSpec(SurfaceParams(SurfaceKind.TORUS))
 
 
 class CliError(Exception):
@@ -55,16 +74,16 @@ class CliError(Exception):
 class RunConfig:
     """Fully resolved option set for one invocation."""
 
-    surface: str = "torus"
-    outer_radius: float = 30.0
-    inner_radius: float = 10.0
-    lat_ribs: int = 18
-    long_ribs: int = 36
-    outer_density: int = 8
-    inner_density: int = 8
-    thickness: float = 1.2
-    amplitude: float = 0.25
-    resolution: int = 12
+    surface: str = _DEFAULT_SPEC.surface.kind.value
+    outer_radius: float = _DEFAULT_SPEC.surface.outer_radius
+    inner_radius: float = _DEFAULT_SPEC.surface.inner_radius
+    lat_ribs: int = _DEFAULT_SPEC.surface.lat_ribs
+    long_ribs: int = _DEFAULT_SPEC.surface.long_ribs
+    outer_density: int = _DEFAULT_SPEC.outer_density
+    inner_density: int = _DEFAULT_SPEC.inner_density
+    thickness: float = _DEFAULT_SPEC.thickness
+    amplitude: float = _DEFAULT_SPEC.surface.amplitude
+    resolution: int = _DEFAULT_SPEC.capsule_resolution
     output: str | None = None
     ascii: bool = False
     legacy_overshoot: bool = False
@@ -92,20 +111,15 @@ class RunConfig:
 
 
 def _parse_config_value(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if key in _CHOICES and raw not in _CHOICES[key]:
-        raise ValueError(f"{raw!r} is not one of {', '.join(_CHOICES[key])}")
-    return raw
+    option = _OPTIONS[key]
+    if option.get("action") == "store_true":
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    choices = option.get("choices")
+    if choices and raw not in choices:
+        raise ValueError(f"{raw!r} is not one of {', '.join(choices)}")
+    return option.get("type", str)(raw)
 
 
 def load_config_file(path: str) -> dict[str, object]:
@@ -113,7 +127,7 @@ def load_config_file(path: str) -> dict[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -125,7 +139,7 @@ def load_config_file(path: str) -> dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _OPTIONS or key == "config":
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = _parse_config_value(key, value)
@@ -141,30 +155,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if path:
         for key, value in load_config_file(path).items():
             setattr(cfg, key.replace("-", "_"), value)
-    for key in _ALL_KEYS:
-        attr = key.replace("-", "_")
-        given = getattr(args, attr, None)
+    for field in fields(RunConfig):
+        given = getattr(args, field.name, None)
         if given is not None:
-            setattr(cfg, attr, given)
+            setattr(cfg, field.name, given)
     return cfg
 
 
-def _add_surface_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--surface", choices=_CHOICES["surface"], default=None)
-    p.add_argument("--outer-radius", type=float, default=None, metavar="MM")
-    p.add_argument("--inner-radius", type=float, default=None, metavar="MM")
-    p.add_argument("--lat-ribs", type=int, default=None, metavar="N")
-    p.add_argument("--long-ribs", type=int, default=None, metavar="N")
-    p.add_argument("--amplitude", type=float, default=None, metavar="A")
-    p.add_argument("--config", default=None, metavar="PATH")
-
-
-def _add_wire_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--outer-density", type=int, default=None, metavar="N")
-    p.add_argument("--inner-density", type=int, default=None, metavar="N")
-    p.add_argument("--thickness", type=float, default=None, metavar="MM")
-    p.add_argument("--resolution", type=int, default=None, metavar="N")
-    p.add_argument("--legacy-overshoot", action="store_true", default=None)
+def _add_flags(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        p.add_argument(f"--{key}", default=None, **_OPTIONS[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,10 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="build a wireframe model and write an STL file")
-    _add_surface_flags(g)
-    _add_wire_flags(g)
-    g.add_argument("--output", default=None, metavar="PATH")
-    g.add_argument("--ascii", action="store_true", default=None)
+    _add_flags(g, _GENERATE_FLAGS)
     g.set_defaults(func=cmd_generate)
 
     v = sub.add_parser("validate", help="check an STL file for watertightness")
@@ -186,13 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_validate)
 
     h = sub.add_parser("homology", help="print homology groups of a built-in space")
-    h.add_argument("--space", choices=_CHOICES["space"], default=None)
-    h.add_argument("--dim", type=int, default=None, metavar="K")
-    h.add_argument("--config", default=None, metavar="PATH")
+    _add_flags(h, ("space", "dim", "config"))
     h.set_defaults(func=cmd_homology)
 
     s = sub.add_parser("sample", help="evaluate a surface parametrization at (i, j)")
-    _add_surface_flags(s)
+    _add_flags(s, _SURFACE_FLAGS)
     s.add_argument("i", type=float)
     s.add_argument("j", type=float)
     s.set_defaults(func=cmd_sample)
@@ -205,30 +200,28 @@ def cmd_generate(args: argparse.Namespace) -> int:
     try:
         spec = cfg.wireframe_spec()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc)) from exc
     legacy = bool(cfg.legacy_overshoot)
     res = spec.capsule_resolution
     # a sphere strut has the fewest triangles, so this bounds the count from
     # below before the plan is built
     planned = segment_count(spec, legacy)
     if planned * sphere_counts(res)[1] >= STL_TRIANGLE_LIMIT:
-        print(
-            f"error: {planned * sphere_counts(res)[1]} to {planned * capsule_counts(res)[1]}"
-            " triangles exceed the 32-bit STL limit",
-            file=sys.stderr,
+        raise CliError(
+            f"{planned * sphere_counts(res)[1]} to {planned * capsule_counts(res)[1]}"
+            " triangles exceed the 32-bit STL limit"
         )
-        return 2
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         segments = plan_segments(spec, legacy)
     if not (np.isfinite(segments.a).all() and np.isfinite(segments.b).all()):
-        print(f"error: the {cfg.surface} surface is not finite on this grid", file=sys.stderr)
-        return 2
+        raise CliError(f"the {cfg.surface} surface is not finite on this grid")
+    reach = max(np.abs(segments.a).max(), np.abs(segments.b).max()) + spec.thickness
+    if reach > np.finfo(np.float32).max:  # capsule vertices lie within thickness of an end
+        raise CliError("the model reaches past the float32 range of STL coordinates")
     spheres = count_degenerate_segments(segments)
     triangles = (len(segments) - spheres) * capsule_counts(res)[1] + spheres * sphere_counts(res)[1]
     if triangles >= STL_TRIANGLE_LIMIT:
-        print(f"error: {triangles} triangles exceed the 32-bit STL limit", file=sys.stderr)
-        return 2
+        raise CliError(f"{triangles} triangles exceed the 32-bit STL limit")
     out_path = cfg.output or f"{cfg.surface}.stl"
     try:
         with open(out_path, "wb") as fh:  # opened first: an unwritable path fails fast
@@ -237,12 +230,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             data = write_stl(mesh, "ascii" if cfg.ascii else "binary")
             fh.write(data)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"cannot write {out_path}: {exc}") from exc
     except ValueError as exc:  # write_stl found a vertex past the float32 range
         os.remove(out_path)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc)) from exc
     for line in report.summary_lines():
         print(line)
     print(f"sphere_degenerate_capsules: {spheres}")
@@ -258,13 +249,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         with open(args.path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"cannot read {args.path}: {exc}") from exc
     try:
         mesh = read_stl(data)
     except StlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc)) from exc
     report = validate(mesh)
     for line in report.summary_lines():
         print(line)
@@ -276,11 +265,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
     space = SpaceName(cfg.space)
     complex_ = builtin_complex(space)
     if cfg.dim is not None and not 0 <= cfg.dim <= complex_.dimension:
-        print(
-            f"error: --dim {cfg.dim} outside 0..{complex_.dimension} for {space.value}",
-            file=sys.stderr,
-        )
-        return 2
+        raise CliError(f"--dim {cfg.dim} outside 0..{complex_.dimension} for {space.value}")
     degrees = [cfg.dim] if cfg.dim is not None else range(complex_.dimension + 1)
     for k in degrees:
         print(f"H_{k}({space.value}) = {format_group(homology(complex_, k))}")
@@ -290,16 +275,13 @@ def cmd_homology(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if not (math.isfinite(args.i) and math.isfinite(args.j)):
-        print(f"error: i and j must be finite, got {args.i} {args.j}", file=sys.stderr)
-        return 2
+        raise CliError(f"i and j must be finite, got {args.i} {args.j}")
     try:
         pt = surface_point(args.i, args.j, cfg.surface_params())
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc)) from exc
     if not all(math.isfinite(c) for c in pt):
-        print(f"error: point at ({args.i}, {args.j}) is not finite", file=sys.stderr)
-        return 2
+        raise CliError(f"point at ({args.i}, {args.j}) is not finite")
     print("%g %g %g" % (pt.x, pt.y, pt.z))
     return 0
 

@@ -37,7 +37,6 @@ __all__ = [
     "roman_sphere_point",
     "roman_point",
     "surface_point",
-    "default_params",
 ]
 
 
@@ -127,10 +126,6 @@ class SurfaceParams:
                 )
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-
-
-def default_params(kind: SurfaceKind) -> SurfaceParams:
-    return SurfaceParams(kind=kind)
 
 
 def torus_point(i: float, j: float, p: SurfaceParams) -> Vec3:

@@ -9,8 +9,9 @@ import pytest
 
 from identispace import cli
 from identispace.cli import CONFIG_ENV_VAR, RunConfig, load_config_file, main, resolve_config
+from identispace.geom import SurfaceKind, SurfaceParams
 from identispace.mesh_io import TriangleMesh, write_stl
-from identispace.wireframe import capsule_counts, sphere_counts
+from identispace.wireframe import WireframeSpec, capsule_counts, sphere_counts
 
 SMALL = [
     "--lat-ribs", "3", "--long-ribs", "3",
@@ -181,21 +182,36 @@ def test_generate_non_finite_surface_rejected(tmp_path, capsys):
 
 def test_generate_past_float32_range_reports_one_error(tmp_path):
     # a subprocess, so that a numpy warning would show on the real stderr
-    argv = ["generate", "--outer-radius", "1e39", "--inner-radius", "1e38", *SMALL]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "identispace.cli", *argv],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error:") and "float32" in proc.stderr
-    assert not (tmp_path / "torus.stl").exists()
+    for flags in (["--outer-radius", "1e39", "--inner-radius", "1e38"], ["--thickness", "1e200"]):
+        argv = ["generate", *flags, *SMALL]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "identispace.cli", *argv],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error:") and "float32" in proc.stderr
+        assert not (tmp_path / "torus.stl").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--thickness", "1e200"], ["--outer-radius", "1e39", "--inner-radius", "1e38"]],
+)
+def test_generate_past_float32_range_fails_before_building(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.setattr(cli, "tessellate_segments", fail_if_called("tessellate_segments"))
+    out = tmp_path / "x.stl"
+    code, text, err = run(["generate", *flags, *SMALL, "--output", str(out)], capsys)
+    assert code == 2
+    assert err == "error: the model reaches past the float32 range of STL coordinates\n"
+    assert text == ""
+    assert not out.exists()
 
 
 def test_generate_ascii_mode(tmp_path, capsys):
@@ -449,3 +465,67 @@ def test_config_choice_outside_flag_choices(tmp_path, capsys, argv, line):
     assert "Traceback" not in err
     assert text == ""
     assert not out.exists()
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(b"thickness = 2\xff\n")
+    code, text, err = run(["sample", "--config", str(cfg_path), "0", "0"], capsys)
+    assert code == 2
+    assert text == ""
+    assert err.startswith(f"error: cannot read config file {cfg_path}:")
+    assert len(err.splitlines()) == 1
+
+
+# one (command, good value, bad value) per config key; the bad value is None
+# where a flag cannot carry one
+CONFIG_KEYS = {
+    "surface": ("generate", "klein", "cube"),
+    "outer-radius": ("generate", "25.5", "wide"),
+    "inner-radius": ("generate", "4.5", "x"),
+    "lat-ribs": ("generate", "6", "6.5"),
+    "long-ribs": ("generate", "9", "many"),
+    "amplitude": ("generate", "0.5", "a"),
+    "outer-density": ("generate", "3", "1.5"),
+    "inner-density": ("generate", "2", "two"),
+    "thickness": ("generate", "2", "thick"),
+    "resolution": ("generate", "6", "6.0"),
+    "legacy-overshoot": ("generate", "true", None),
+    "output": ("generate", "m.stl", None),
+    "ascii": ("generate", "true", None),
+    "space": ("homology", "rp2", "cube"),
+    "dim": ("homology", "1", "one"),
+}
+
+
+def test_config_keys_cover_every_option():
+    assert set(CONFIG_KEYS) == set(cli._OPTIONS) - {"config"}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_config_line_and_flag_resolve_alike(tmp_path, key):
+    command, good, _ = CONFIG_KEYS[key]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{key} = {good}\n")
+    from_file = resolve_config(cli.build_parser().parse_args([command, "--config", str(cfg_path)]))
+    flag = [f"--{key}"] if good == "true" else [f"--{key}", good]
+    from_flag = resolve_config(cli.build_parser().parse_args([command, *flag]))
+    assert from_file == from_flag != RunConfig()
+
+
+@pytest.mark.parametrize("key", sorted(k for k, case in CONFIG_KEYS.items() if case[2]))
+def test_bad_config_value_and_bad_flag_exit_2(tmp_path, capsys, key):
+    command, _, bad = CONFIG_KEYS[key]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"{key} = {bad}\n")
+    code, text, err = run([command, "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert text == ""
+    assert err.startswith(f"error: {cfg_path}:1: bad value for {key}")
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{key}", bad])
+    assert exc.value.code == 2
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    assert RunConfig().wireframe_spec() == WireframeSpec(SurfaceParams(SurfaceKind.TORUS))

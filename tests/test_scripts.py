@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run end to end as subprocesses."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -48,3 +49,9 @@ def test_generate_triptych_draft_writes_three_models(tmp_path):
     proc = run_script("generate_triptych.py", "--draft", "--output-dir", str(tmp_path), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.glob("*.stl")) == ["klein.stl", "roman.stl", "torus.stl"]
+    # captured from the script when it built and wrote the models itself
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.stl")} == {
+        "torus.stl": "e6a3a4ea3b34bee193876f792988f3453ddbd306e026f655c1847b7d99cb8272",
+        "klein.stl": "ec57d70d6dd2f6c9c3036a48fb83d7fe8e0ec61be3a2487c37dd88479fd5260b",
+        "roman.stl": "b55669346e1f82599f7f71be9280d55a924f6186e2f800e70b10f585bd9e1c2f",
+    }
