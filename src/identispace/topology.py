@@ -7,16 +7,16 @@ even for small inputs, and a silent wrap would corrupt torsion coefficients.
 Conventions: boundary matrices have one column per k-cell and one row per
 (k-1)-cell; H_k = ker d_k / im d_{k+1}; ranks are counted over the rationals.
 
-``homology`` and ``verify_exact`` need only ranks and invariant factors.  They
-first eliminate +-1 pivots on a sparse copy of each matrix (a unit pivot
-contributes an invariant factor 1 and leaves the Schur complement), then run
-``smith_normal_form`` on the small non-unit remainder.  A ``ChainComplex``
-scans each d_k into sparse columns once and keeps each reduction, so the
-d∘d = 0 check and H_0..H_dim share one scan and one reduction per map;
-``verify_exact`` does the same for the maps of its sequence.  Whether
-consecutive maps compose to zero is checked on those columns, in exact
-integer arithmetic.  ``smith_normal_form`` itself still returns the full D,
-U and V.
+H_k is the failure of exactness at C_k in 0 -> C_dim -> ... -> C_0 -> 0, so
+``verify_exact`` is the one engine: it scans each map of a sequence into
+sparse columns once, checks on them, in exact integers, that consecutive
+maps compose to zero, and reduces each map once.  A reduction eliminates +-1
+pivots (each contributes an invariant factor 1 and leaves the Schur
+complement), then runs ``smith_normal_form`` on the small non-unit remainder.
+A ``ChainComplex`` runs its boundary sequence through ``verify_exact`` when
+it is built (below dimension 2, at the first ``homology`` call); its d∘d = 0
+check and H_0..H_dim read those verdicts.  ``smith_normal_form`` itself still
+returns the full D, U and V.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -56,8 +56,19 @@ def intmat(rows: Sequence[Sequence[int]], ncols: int | None = None) -> np.ndarra
         if len(row) != out.shape[1]:
             raise ValueError("ragged rows")
         for j, x in enumerate(row):
-            out[i, j] = int(x)
+            out[i, j] = _exact_int(x)
     return out
+
+
+def _exact_int(x) -> int:
+    """``int(x)``, for an entry that is exactly an integer; no truncation."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return n
 
 
 def zeros_mat(m: int, n: int) -> np.ndarray:
@@ -76,13 +87,15 @@ def _sparse_columns(a: np.ndarray) -> list[dict[int, int]]:
     cols: list[dict[int, int]] = [{} for _ in range(a.shape[1])]
     rows, idx = np.nonzero(a != 0)
     for i, j, x in zip(rows.tolist(), idx.tolist(), a[rows, idx].tolist()):
-        cols[j][i] = int(x)
+        cols[j][i] = _exact_int(x)
     return cols
 
 
 def _composes_to_zero(a_cols: list[dict[int, int]], b_cols: list[dict[int, int]]) -> bool:
     """Exactly whether a @ b == 0, given both as sparse columns; one column of
     b at a time."""
+    if not any(a_cols):
+        return True
     for col in b_cols:
         acc: dict[int, int] = {}
         for r, x in col.items():
@@ -137,7 +150,7 @@ class ChainComplex:
                     f"boundary {k} has shape {mat.shape}, expected {expected}"
                 )
         for k in range(2, len(self.labels)):
-            if not _composes_to_zero(self._columns[k - 1], self._columns[k]):
+            if not self._verdicts[self.dimension + 1 - k].composition_zero:
                 raise ValueError(f"d_{k-1} @ d_{k} != 0")
 
     @property
@@ -158,20 +171,9 @@ class ChainComplex:
         return self.boundaries[k - 1]
 
     @cached_property
-    def _columns(self) -> tuple[list[dict[int, int]], ...]:
-        """Sparse columns of d_0..d_{dim+1}, scanned once per complex."""
-        return tuple(_sparse_columns(self.boundary(k)) for k in range(self.dimension + 2))
-
-    @cached_property
-    def _factors(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """Rank and invariant factors above 1 of each d_k reduced so far."""
-        return {}
-
-    def _boundary_factors(self, k: int) -> tuple[int, tuple[int, ...]]:
-        """Rank and invariant factors above 1 of d_k, reduced once per complex."""
-        if k not in self._factors:
-            self._factors[k] = _invariant_factors(self._columns[k])
-        return self._factors[k]
+    def _verdicts(self) -> list[ExactnessVerdict]:
+        """Exactness of 0 -> C_dim -> ... -> C_0 -> 0; index dim - k is at C_k."""
+        return verify_exact([self.boundary(k) for k in range(self.dimension + 1, -1, -1)])
 
 
 class SpaceName(Enum):
@@ -261,7 +263,7 @@ def smith_normal_form(a: np.ndarray) -> SNFResult:
     Python ints.
     """
     m, n = a.shape
-    d = [[int(a[i, j]) for j in range(n)] for i in range(m)]
+    d = [[_exact_int(a[i, j]) for j in range(n)] for i in range(m)]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -451,9 +453,7 @@ def homology(c: ChainComplex, k: int) -> AbelianGroup:
     """H_k = ker d_k / im d_{k+1}, with torsion from the invariant factors of d_{k+1}."""
     if not 0 <= k <= c.dimension:
         raise ValueError(f"degree {k} outside 0..{c.dimension}")
-    rank_dk, _ = c._boundary_factors(k)
-    rank_up, torsion = c._boundary_factors(k + 1)
-    return AbelianGroup(c.rank_of_chain_group(k) - rank_dk - rank_up, torsion)
+    return c._verdicts[c.dimension - k].quotient
 
 
 @dataclass(frozen=True)
@@ -482,18 +482,14 @@ def verify_exact(fs: Sequence[np.ndarray]) -> list[ExactnessVerdict]:
                 f"shapes do not compose: {prev.shape} then {nxt.shape}"
             )
     cols = [_sparse_columns(m) for m in mats]
-
-    @cache
-    def factors(i: int) -> tuple[int, tuple[int, ...]]:
-        return _invariant_factors(cols[i])
-
+    factors = [_invariant_factors(c) for c in cols]
     verdicts = []
     for p in range(1, len(mats)):
         if not _composes_to_zero(cols[p], cols[p - 1]):
             verdicts.append(ExactnessVerdict(p, False, None, False))
             continue
-        rank_in, torsion = factors(p - 1)
-        rank_out, _ = factors(p)
+        rank_in, torsion = factors[p - 1]
+        rank_out, _ = factors[p]
         quotient = AbelianGroup(mats[p].shape[1] - rank_out - rank_in, torsion)
         verdicts.append(ExactnessVerdict(p, True, quotient, quotient.is_trivial))
     return verdicts

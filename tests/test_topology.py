@@ -263,6 +263,54 @@ def test_chain_complex_square_checked_past_64_bits():
     ChainComplex((intmat([[2**33, -1]]), intmat([[2**32], [2**65]])), labels)
 
 
+@pytest.mark.parametrize(
+    "maps,message",
+    [
+        (([[0]], [[1]], [[1]]), "d_2 @ d_3 != 0"),
+        (([[1]], [[1]], [[0]]), "d_1 @ d_2 != 0"),
+        (([[1]], [[1]], [[1]]), "d_1 @ d_2 != 0"),
+    ],
+)
+def test_chain_complex_names_the_lowest_nonzero_square(maps, message):
+    labels = (("v",), ("e",), ("f",), ("t",))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ChainComplex(tuple(intmat(m) for m in maps), labels)
+
+
+# --- integer entries ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_exact([np.array([[0.5]]), np.array([[0]])]),
+        lambda: verify_exact([np.array([[np.nan]]), np.array([[0]])]),
+        lambda: homology(ChainComplex((np.array([[0.5]], dtype=object),), (("v",), ("e",))), 0),
+        lambda: smith_normal_form(np.array([[1.5, 0], [0, 2.9]])),
+        lambda: smith_normal_form(np.array([[np.inf]])),
+        lambda: intmat([[1.7, 2.2]]),
+        lambda: intmat([["3"]]),
+        lambda: intmat([[float("inf")]]),
+        lambda: intmat([[float("nan")]]),
+    ],
+    ids=[
+        "verify_exact-half", "verify_exact-nan", "homology-half", "snf-fractions",
+        "snf-inf", "intmat-fractions", "intmat-string", "intmat-inf", "intmat-nan",
+    ],
+)
+def test_non_integer_entries_rejected(call):
+    # int() would truncate 0.5 to 0, 1.7 to 1 and read "3" as 3
+    with pytest.raises(ValueError, match=r"^matrix entry .* is not an integer$"):
+        call()
+
+
+def test_integral_entries_accepted():
+    assert smith_normal_form(np.eye(2)).diagonal == [1, 1]
+    assert intmat([[2**100, 3.0]]).tolist() == [[2**100, 3]]
+    verdicts = verify_exact([np.array([[2.0]]), np.array([[0.0]])])
+    assert [v.quotient for v in verdicts] == [AbelianGroup(0, (2,))]
+
+
 # --- random identification complexes ----------------------------------------
 
 
