@@ -168,15 +168,14 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytes:
     if not np.isfinite(v32).all():
         raise ValueError("a vertex is not finite in float32, the STL coordinate type")
 
-    if mode == "binary":
-        out = np.zeros(84 + 50 * n, dtype=np.uint8)
-        out[:80] = np.frombuffer(STL_HEADER_TAG.ljust(80, b"\0"), dtype=np.uint8)
-        out[80:84] = np.frombuffer(struct.pack("<I", n), dtype=np.uint8)
-        _fill_records(out[84:].view(_RECORD), v32, mesh.triangles)
-        return out.tobytes()
-
     records = np.zeros(n, dtype=_RECORD)
-    _fill_records(records, v32, mesh.triangles)
+    for start in range(0, n, _CHUNK):
+        chunk = records[start : start + _CHUNK]
+        chunk["corners"] = v32[mesh.triangles[start : start + _CHUNK]]
+        chunk["normal"] = _unit_normals(chunk["corners"])
+    if mode == "binary":
+        return b"".join([STL_HEADER_TAG.ljust(80, b"\0"), struct.pack("<I", n), records])
+
     name = STL_HEADER_TAG.decode("ascii")
     parts = [f"solid {name}\n".encode("ascii")]
     for start in range(0, n, _CHUNK):
@@ -187,15 +186,6 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytes:
     return b"".join(parts)
 
 
-def _fill_records(records: np.ndarray, v32: np.ndarray, triangles: np.ndarray) -> None:
-    """Write each triangle's unit normal and float32 corners into ``records``."""
-    for start in range(0, len(records), _CHUNK):
-        corners = v32[triangles[start : start + _CHUNK]]
-        chunk = records[start : start + _CHUNK]
-        chunk["normal"] = _unit_normals(corners)
-        chunk["corners"] = corners
-
-
 def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     """Index a (T,3,3) float32 coordinate soup, welding bit-identical vertices.
 
@@ -203,8 +193,6 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     A NaN or infinite coordinate raises ``StlError``.
     """
     flat = np.ascontiguousarray(tri_verts.reshape(-1, 3))
-    if len(flat) == 0:
-        return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int32))
     bits = flat.view("<u4")
     # sort on (x|y as one 64-bit key, then z): two radix passes instead of three
     xy = bits[:, 0].astype(np.uint64) << np.uint64(32)
@@ -213,7 +201,7 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     del xy
     ranked = bits[order]
     first = np.empty(len(ranked), dtype=bool)
-    first[0] = True
+    first[:1] = True
     np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
     inverse = np.empty(len(flat), dtype=np.int32)
     inverse[order] = np.cumsum(first, dtype=np.int32) - 1
@@ -270,21 +258,6 @@ def read_stl(data: bytes) -> TriangleMesh:
     return _weld(corners)
 
 
-def _empty_report() -> MeshReport:
-    z = np.zeros(0, dtype=np.int64)
-    return MeshReport(
-        component_count=0,
-        watertight_per_component=z.astype(bool),
-        euler_characteristic_per_component=z,
-        edge_manifold_per_component=z.astype(bool),
-        boundary_edges_per_component=z,
-        bbox_min=Vec3(0.0, 0.0, 0.0),
-        bbox_max=Vec3(0.0, 0.0, 0.0),
-        triangle_count=0,
-        degenerate_count=0,
-    )
-
-
 def validate(mesh: TriangleMesh) -> MeshReport:
     """Report connectivity, closedness and quality; never raises on bad geometry.
 
@@ -298,8 +271,6 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     tris = mesh.triangles
     nv = len(mesh.vertices)
     nt = len(tris)
-    if nt == 0:
-        return _empty_report()
 
     # degenerate iff area <= threshold, compared in squared form: |cross|^2 <= (2*thr)^2
     degenerate = 0
@@ -358,6 +329,7 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     unbalanced_per = np.bincount(edge_comp[~balanced], minlength=ncomp)
     nonmanifold_per = np.bincount(edge_comp[~manifold], minlength=ncomp)
     boundary_per = np.bincount(edge_comp[boundary], minlength=ncomp)
+    bbox = (mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)) if nt else np.zeros((2, 3))
 
     return MeshReport(
         component_count=ncomp,
@@ -365,8 +337,8 @@ def validate(mesh: TriangleMesh) -> MeshReport:
         euler_characteristic_per_component=v_per - e_per + f_per,
         edge_manifold_per_component=nonmanifold_per == 0,
         boundary_edges_per_component=boundary_per,
-        bbox_min=Vec3(*(float(c) for c in mesh.vertices.min(axis=0))),
-        bbox_max=Vec3(*(float(c) for c in mesh.vertices.max(axis=0))),
+        bbox_min=Vec3(*(float(c) for c in bbox[0])),
+        bbox_max=Vec3(*(float(c) for c in bbox[1])),
         triangle_count=len(tris),
         degenerate_count=degenerate,
     )

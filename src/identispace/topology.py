@@ -14,9 +14,8 @@ maps compose to zero, and reduces each map once.  A reduction eliminates +-1
 pivots (each contributes an invariant factor 1 and leaves the Schur
 complement), then runs ``smith_normal_form`` on the small non-unit remainder.
 A ``ChainComplex`` runs its boundary sequence through ``verify_exact`` when
-it is built (below dimension 2, at the first ``homology`` call); its d∘d = 0
-check and H_0..H_dim read those verdicts.  ``smith_normal_form`` itself still
-returns the full D, U and V.
+it is built; its d∘d = 0 check and H_0..H_dim read those verdicts.
+``smith_normal_form`` itself still returns the full D, U and V.
 """
 
 from __future__ import annotations
@@ -149,8 +148,9 @@ class ChainComplex:
                 raise ValueError(
                     f"boundary {k} has shape {mat.shape}, expected {expected}"
                 )
+        verdicts = self._verdicts  # read in every dimension: a bad entry fails here
         for k in range(2, len(self.labels)):
-            if not self._verdicts[self.dimension + 1 - k].composition_zero:
+            if not verdicts[self.dimension + 1 - k].composition_zero:
                 raise ValueError(f"d_{k-1} @ d_{k} != 0")
 
     @property

@@ -44,6 +44,10 @@ def test_empty_mesh_is_header_only():
     assert len(data) == 84
     assert struct.unpack_from("<I", data, 80)[0] == 0
     assert data.startswith(STL_HEADER_TAG)
+    back = read_stl(data)
+    assert back.vertices.shape == (0, 3) and back.vertices.dtype == np.float64
+    assert back.triangles.shape == (0, 3) and back.triangles.dtype == np.int32
+    assert validate(back).component_count == 0
 
 
 def test_single_triangle_size():
@@ -430,6 +434,7 @@ def report_fields(report) -> dict:
 @given(report_meshes())
 @example(TriangleMesh(np.zeros((1, 3)), np.zeros((1, 3), np.int32)))  # all collapsed
 @example(TriangleMesh(np.zeros((2, 3)), np.zeros((0, 3), np.int32)))  # no triangles
+@example(TriangleMesh(np.eye(3), np.zeros((0, 3), np.int32)))  # bbox stays (0, 0, 0)
 @example(TriangleMesh(np.eye(3), np.array([[0, 0, 1], [2, 2, 2], [1, 0, 0]], np.int32)))
 def test_validate_matches_oracle(mesh):
     expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)

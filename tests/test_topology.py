@@ -292,10 +292,12 @@ def test_chain_complex_names_the_lowest_nonzero_square(maps, message):
         lambda: intmat([["3"]]),
         lambda: intmat([[float("inf")]]),
         lambda: intmat([[float("nan")]]),
+        lambda: ChainComplex((np.array([[0.5]], dtype=object),), (("v",), ("e",))),
     ],
     ids=[
         "verify_exact-half", "verify_exact-nan", "homology-half", "snf-fractions",
         "snf-inf", "intmat-fractions", "intmat-string", "intmat-inf", "intmat-nan",
+        "complex-half",
     ],
 )
 def test_non_integer_entries_rejected(call):
