@@ -254,6 +254,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         mesh = read_stl(data)
     except StlError as exc:
         raise CliError(str(exc)) from exc
+    del data  # the welded mesh holds no reference to the file bytes
     report = validate(mesh)
     for line in report.summary_lines():
         print(line)

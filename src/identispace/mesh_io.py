@@ -23,8 +23,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geom import Vec3
 
@@ -48,7 +46,7 @@ STL_TRIANGLE_LIMIT = 2**32  # the binary header stores the count as uint32
 # one packed 50-byte binary facet record
 _RECORD = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attribute", "<u2")])
 _XYZ = np.dtype([("xyz", "<f8", 3)])  # an ASCII vertex row: loadtxt demands exactly 3 numbers
-_CHUNK = 1 << 16  # triangles per block for memory-bounded passes
+_CHUNK = 1 << 16  # triangles (corners in _weld) per block for memory-bounded passes
 _FACET = (
     "  facet normal %.9g %.9g %.9g\n    outer loop\n"
     + "      vertex %.9g %.9g %.9g\n" * 3
@@ -147,15 +145,16 @@ def _unit_normals(corners: np.ndarray) -> np.ndarray:
     return cr
 
 
-def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytes:
-    """Serialize to STL bytes.
+def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
+    """Serialize to STL bytes, returned as a ``bytearray`` in both modes.
 
     Binary layout: 80-byte header tagged ``identispace-forge``, little-endian
     uint32 triangle count, then 50 bytes per triangle (normal, three vertices
-    as float32, zero attribute); total length is exactly 84 + 50*n.  ASCII
-    mode emits the float32-rounded coordinates with 9 significant digits so
-    both modes parse back to identical meshes.  A vertex that is not finite
-    once rounded to float32 raises ``ValueError``.
+    as float32, zero attribute); total length is exactly 84 + 50*n.  The
+    records are filled in place inside the returned buffer, so the file is
+    never copied.  ASCII mode emits the float32-rounded coordinates with 9
+    significant digits so both modes parse back to identical meshes.  A
+    vertex that is not finite once rounded to float32 raises ``ValueError``.
     """
     if mode not in ("binary", "ascii"):
         raise ValueError(f"mode must be 'binary' or 'ascii', got {mode!r}")
@@ -168,13 +167,16 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytes:
     if not np.isfinite(v32).all():
         raise ValueError("a vertex is not finite in float32, the STL coordinate type")
 
-    records = np.zeros(n, dtype=_RECORD)
+    binary = bytearray(84 + 50 * n)  # zeroed, so every attribute is 0
+    binary[:80] = STL_HEADER_TAG.ljust(80, b"\0")
+    struct.pack_into("<I", binary, 80, n)
+    records = np.frombuffer(binary, _RECORD, count=n, offset=84)
     for start in range(0, n, _CHUNK):
         chunk = records[start : start + _CHUNK]
         chunk["corners"] = v32[mesh.triangles[start : start + _CHUNK]]
         chunk["normal"] = _unit_normals(chunk["corners"])
     if mode == "binary":
-        return b"".join([STL_HEADER_TAG.ljust(80, b"\0"), struct.pack("<I", n), records])
+        return binary
 
     name = STL_HEADER_TAG.decode("ascii")
     parts = [f"solid {name}\n".encode("ascii")]
@@ -183,29 +185,44 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytes:
         values = np.concatenate([chunk["normal"], chunk["corners"].reshape(-1, 9)], axis=1)
         parts.append(((_FACET * len(chunk)) % tuple(values.ravel().tolist())).encode("ascii"))
     parts.append(f"endsolid {name}\n".encode("ascii"))
-    return b"".join(parts)
+    return bytearray().join(parts)
 
 
 def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     """Index a (T,3,3) float32 coordinate soup, welding bit-identical vertices.
 
     Identity is the 96-bit pattern, so -0.0 and +0.0 are distinct vertices.
-    A NaN or infinite coordinate raises ``StlError``.
+    A NaN or infinite coordinate raises ``StlError``.  ``tri_verts`` may be a
+    strided view of the file's records; it is never copied whole.  Each
+    corner costs a 12-byte key (uint64 ``x << 32 | y`` and uint32 ``z``),
+    8 bytes of sort order and a 4-byte vertex index; the sorted keys are
+    gathered ``_CHUNK`` corners at a time.
     """
-    flat = np.ascontiguousarray(tri_verts.reshape(-1, 3))
-    bits = flat.view("<u4")
-    # sort on (x|y as one 64-bit key, then z): two radix passes instead of three
-    xy = bits[:, 0].astype(np.uint64) << np.uint64(32)
-    xy |= bits[:, 1]
-    order = np.lexsort((bits[:, 2], xy))
-    del xy
-    ranked = bits[order]
-    first = np.empty(len(ranked), dtype=bool)
-    first[:1] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(flat), dtype=np.int32)
-    inverse[order] = np.cumsum(first, dtype=np.int32) - 1
-    vertices = ranked[first].view("<f4")
+    bits = tri_verts.view("<u4")
+    xy = bits[..., 0].astype(np.uint64)
+    xy <<= 32
+    xy |= bits[..., 1]
+    xy, z = xy.reshape(-1), bits[..., 2].astype(np.uint32).reshape(-1)
+    order = np.lexsort((z, xy))  # two radix passes instead of three
+    inverse = np.empty(len(order), dtype=np.int32)
+    firsts = [np.empty(0, dtype=np.intp)]  # the first corner of each run of equal keys
+    welded = 0
+    for start in range(0, len(order), _CHUNK):
+        at = order[start : start + _CHUNK]
+        run_xy, run_z = xy[at], z[at]
+        first = np.empty(len(at), dtype=bool)
+        before = order[start - 1]  # the last corner of the previous block
+        first[0] = start == 0 or xy[before] != run_xy[0] or z[before] != run_z[0]
+        np.not_equal(run_xy[1:], run_xy[:-1], out=first[1:])
+        first[1:] |= run_z[1:] != run_z[:-1]
+        index = np.cumsum(first, dtype=np.int32)
+        index += welded - 1
+        inverse[at] = index
+        welded = int(index[-1]) + 1
+        firsts.append(at[first])
+    del xy, z, order
+    corner = np.concatenate(firsts)
+    vertices = tri_verts[corner // 3, corner % 3]
     if not np.isfinite(vertices).all():
         raise StlError("STL has a non-finite vertex coordinate")
     return TriangleMesh(vertices.astype(np.float64), inverse.reshape(-1, 3))
@@ -267,6 +284,9 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     edge use as ``(lo*nv + hi) << 1 | (runs lo -> hi)``; a single sort then
     groups the uses of each undirected edge into one run.
     """
+    from scipy.sparse import csr_matrix  # imported here: no other CLI command needs scipy
+    from scipy.sparse.csgraph import connected_components
+
     mesh.check_indices()
     tris = mesh.triangles
     nv = len(mesh.vertices)
@@ -291,41 +311,42 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     keys = keys.reshape(-1)
     keys.sort()
     keys = keys[np.searchsorted(keys, 0) :]
+    forward = np.bitwise_and(keys, 1, out=np.empty(len(keys), dtype=np.int8))
+    keys >>= 1
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
-    np.not_equal(keys[1:] >> 1, keys[:-1] >> 1, out=first[1:])
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     del first
-    ne = len(starts)
+    ukeys = keys[starts]
     count = np.diff(starts, append=len(keys))
-    net = 2 * np.add.reduceat(keys & 1, starts) - count
-    ukeys = keys[starts] >> 1
     del keys
-
+    net = 2 * np.add.reduceat(forward, starts, dtype=np.int64) - count
+    del forward, starts
     balanced = net == 0
     manifold = (count == 2) & balanced
     boundary = count == 1
-    ulo = ukeys // nv
-    uhi = ukeys % nv
+    del net, count
 
+    # ulo is sorted, so the edges from vertex r are ukeys[indptr[r]:indptr[r + 1]]
+    ulo = ukeys // nv
+    indptr = np.searchsorted(ulo, np.arange(nv + 1))
+    graph = csr_matrix((np.ones(len(ukeys)), ukeys % nv, indptr), shape=(nv, nv))
+    del ukeys, indptr
+    _, labels = connected_components(graph, directed=False)
+    del graph
     referenced = np.zeros(nv, dtype=bool)
     referenced[tris.ravel()] = True
-    graph = coo_matrix(
-        (np.ones(ne, dtype=np.int8), (ulo, uhi)), shape=(nv, nv)
-    )
-    _, labels = connected_components(graph, directed=False)
     comp_labels = np.unique(labels[referenced])
     ncomp = len(comp_labels)
     remap = np.full(labels.max() + 1 if nv else 1, -1, dtype=np.int64)
     remap[comp_labels] = np.arange(ncomp)
-
-    vert_comp = remap[labels[referenced]]
     edge_comp = remap[labels[ulo]]
-    tri_comp = remap[labels[tris[:, 0]]]
+    del ulo
 
-    v_per = np.bincount(vert_comp, minlength=ncomp)
+    v_per = np.bincount(remap[labels[referenced]], minlength=ncomp)
     e_per = np.bincount(edge_comp, minlength=ncomp)
-    f_per = np.bincount(tri_comp, minlength=ncomp)
+    f_per = np.bincount(remap[labels[tris[:, 0]]], minlength=ncomp)
     unbalanced_per = np.bincount(edge_comp[~balanced], minlength=ncomp)
     nonmanifold_per = np.bincount(edge_comp[~manifold], minlength=ncomp)
     boundary_per = np.bincount(edge_comp[boundary], minlength=ncomp)

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import struct
 import subprocess
@@ -13,6 +15,9 @@ from identispace.geom import SurfaceKind, SurfaceParams
 from identispace.mesh_io import TriangleMesh, write_stl
 from identispace.wireframe import WireframeSpec, capsule_counts, sphere_counts
 
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
 SMALL = [
     "--lat-ribs", "3", "--long-ribs", "3",
     "--outer-density", "1", "--inner-density", "1",
@@ -24,6 +29,12 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def python_path(*dirs: Path) -> dict[str, str]:
+    """The environment with ``dirs`` put in front of ``PYTHONPATH``."""
+    paths = [str(d) for d in dirs] + [os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def open_tetra_stl() -> bytes:
@@ -184,11 +195,10 @@ def test_generate_past_float32_range_reports_one_error(tmp_path):
     # a subprocess, so that a numpy warning would show on the real stderr
     for flags in (["--outer-radius", "1e39", "--inner-radius", "1e38"], ["--thickness", "1e200"]):
         argv = ["generate", *flags, *SMALL]
-        src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "identispace.cli", *argv],
             cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+            env=python_path(ROOT / "src"),
             capture_output=True,
             text=True,
             timeout=120,
@@ -529,3 +539,67 @@ def test_bad_config_value_and_bad_flag_exit_2(tmp_path, capsys, key):
 
 def test_run_config_defaults_are_the_library_defaults():
     assert RunConfig().wireframe_spec() == WireframeSpec(SurfaceParams(SurfaceKind.TORUS))
+
+
+# --- process contract --------------------------------------------------------
+
+
+def test_import_leaves_scipy_unloaded():
+    # only validate needs scipy, so homology and sample do not pay for its import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, identispace.cli; print('scipy' in sys.modules)"],
+        env=python_path(ROOT / "src"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def load_benchmark():
+    """``perfbench/run.py`` as a module, with its sibling modules importable."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        patch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_cli_reports_every_layer_once(tmp_path):
+    """The benchmark's traced run wraps the ``cli`` names of the layer calls and
+    reads one span per layer, plus the byte counts of the written and read file."""
+    bench = load_benchmark()
+    stl = tmp_path / "probe.stl"
+    commands = {
+        "generate": ["generate", *bench.PROBE_GEOMETRY.cli_args(), "--output", str(stl)],
+        "validate": ["validate", str(stl)],
+    }
+    spans = {}
+    for step, argv in commands.items():
+        spans_path = tmp_path / f"{step}.spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans_path), *argv],
+            env=python_path(ROOT / "src", PERFBENCH),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        spans[step] = json.loads(spans_path.read_text())
+
+    layers = {
+        "generate": ["wireframe.plan_segments", "wireframe.count_degenerate_segments",
+                     "wireframe.tessellate_segments", "mesh_io.validate", "mesh_io.write_stl"],
+        "validate": ["mesh_io.read_stl", "mesh_io.validate"],
+    }
+    for step, names in layers.items():
+        recorded = [span["name"] for span in spans[step]]
+        assert {name: recorded.count(name) for name in names} == dict.fromkeys(names, 1)
+    size = stl.stat().st_size
+    (write,) = (s for s in spans["generate"] if s["name"] == "mesh_io.write_stl")
+    (read,) = (s for s in spans["validate"] if s["name"] == "mesh_io.read_stl")
+    assert write["counts"]["bytes"] == read["counts"]["bytes"] == size
+    # the benchmark's own reader of the spans accepts them
+    bench.geometry_layers(bench.Op(spans=spans, detail={"generate_s": 1.0, "validate_s": 1.0}))

@@ -1,11 +1,13 @@
+import gc
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from identispace import mesh_io
-from identispace.geom import Vec3
+from identispace.geom import SurfaceKind, SurfaceParams, Vec3
 from identispace.mesh_io import (
     STL_HEADER_TAG,
     StlError,
@@ -14,6 +16,7 @@ from identispace.mesh_io import (
     validate,
     write_stl,
 )
+from identispace.wireframe import WireframeSpec, plan_segments, tessellate_segments
 
 from oracles import ascii_corners_per_line, ascii_stl_per_facet, mesh_report_oracle
 from test_wireframe import one_capsule
@@ -315,6 +318,34 @@ def test_weld_merges_identical_coordinates():
     assert back.triangle_count == 8
 
 
+@st.composite
+def corner_soups(draw):
+    """(3T, 3) float32 corners drawn from a small pool, so corners repeat.
+
+    The pool mixes 0.0 with -0.0 and always holds two rows that share x and y
+    but differ in the sign bit of z.
+    """
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), coordinates)
+    x, y, z = draw(value), draw(value), draw(value)
+    pool = [(x, y, z), (x, y, -z)] + draw(st.lists(st.tuples(value, value, value), max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return np.array(pool, np.float32)[picks[: len(picks) // 3 * 3]]
+
+
+@pytest.mark.parametrize("mode", ["binary", "ascii"])
+@settings(max_examples=60)
+@given(soup=corner_soups())
+def test_weld_matches_unique_rows(mode, soup):
+    mesh = TriangleMesh(soup, np.arange(len(soup), dtype=np.int32))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mesh_io, "_CHUNK", 2)  # runs of equal corners cross blocks
+        back = read_stl(write_stl(mesh, mode))
+    # rows sort as uint32 (x, y, z), the documented vertex order
+    rows, inverse = np.unique(soup.view("<u4"), axis=0, return_inverse=True)
+    assert np.array_equal(back.vertices.astype(np.float32).view("<u4"), rows)
+    assert np.array_equal(back.triangles.ravel(), inverse.ravel())
+
+
 # --- validate ----------------------------------------------------------------
 
 
@@ -445,3 +476,52 @@ def test_bbox():
     report = validate(tetrahedron())
     assert report.bbox_min == Vec3(0.0, 0.0, 0.0)
     assert report.bbox_max == Vec3(1.0, 1.0, 1.0)
+
+
+# --- memory ------------------------------------------------------------------
+# Peak bytes per triangle that tracemalloc sees (numpy reports its buffers to
+# it) on a 389 376-triangle torus.  Each bound sits below the peak of the waste
+# named beside it.
+
+TORUS_6X12_TRIANGLES = 389_376
+
+
+@pytest.fixture(scope="module")
+def torus_6x12():
+    spec = WireframeSpec(SurfaceParams(SurfaceKind.TORUS, lat_ribs=6, long_ribs=12), 4, 4)
+    mesh = tessellate_segments(plan_segments(spec), spec.capsule_resolution)
+    assert mesh.triangle_count == TORUS_6X12_TRIANGLES
+    validate(tetrahedron())  # scipy's first import would count toward the first peak
+    return mesh
+
+
+def peak_bytes_per_triangle(fn, arg) -> float:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1] / TORUS_6X12_TRIANGLES
+    finally:
+        tracemalloc.stop()
+
+
+def test_validate_built_mesh_peak(torus_6x12):
+    # shifted copies of the edge keys and a COO graph reach 150
+    assert peak_bytes_per_triangle(validate, torus_6x12) < 127
+
+
+def test_binary_write_peak(torus_6x12):
+    # a record array joined into a second copy of the file reaches 106
+    assert peak_bytes_per_triangle(write_stl, torus_6x12) < 94
+
+
+def test_read_peak(torus_6x12):
+    # a contiguous corner copy plus a sorted gather of all 96-bit corners reach 135
+    data = bytes(write_stl(torus_6x12))
+    assert peak_bytes_per_triangle(read_stl, data) < 111
+
+
+def test_validate_read_back_peak(torus_6x12):
+    # the same validate temporaries reach 92 on the welded mesh
+    back = read_stl(bytes(write_stl(torus_6x12)))
+    assert peak_bytes_per_triangle(validate, back) < 81
