@@ -145,17 +145,31 @@ def _unit_normals(corners: np.ndarray) -> np.ndarray:
     return cr
 
 
+def _fill_records(records: np.ndarray, v32: np.ndarray, triangles: np.ndarray) -> None:
+    """Fill the corners and unit normals of binary records, ``_CHUNK // 2`` at a time."""
+    step = max(_CHUNK // 2, 1)
+    for start in range(0, len(records), step):
+        block = records[start : start + step]
+        block["corners"] = v32[triangles[start : start + step]]
+        block["normal"] = _unit_normals(block["corners"])
+
+
 def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
     """Serialize to STL bytes, returned as a ``bytearray`` in both modes.
 
     Binary layout: 80-byte header tagged ``identispace-forge``, little-endian
     uint32 triangle count, then 50 bytes per triangle (normal, three vertices
     as float32, zero attribute); total length is exactly 84 + 50*n.  The
-    records are filled in place inside the returned buffer, so the file is
-    never copied.  ASCII mode emits the float32-rounded coordinates with 9
-    significant digits so both modes parse back to identical meshes.  A
-    vertex that is not finite once rounded to float32 raises ``ValueError``.
+    records are filled in place inside the binary buffer, the first half on
+    the calling thread and the second half on a second thread, each in blocks
+    of ``_CHUNK // 2`` triangles, so the file is never copied.  ASCII mode
+    formats those records ``_CHUNK`` at a time into one growing ``bytearray``,
+    emitting the float32-rounded coordinates with 9 significant digits so
+    both modes parse back to identical meshes.  A vertex that is not finite
+    once rounded to float32 raises ``ValueError``.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
+
     if mode not in ("binary", "ascii"):
         raise ValueError(f"mode must be 'binary' or 'ascii', got {mode!r}")
     n = mesh.triangle_count
@@ -171,21 +185,22 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
     binary[:80] = STL_HEADER_TAG.ljust(80, b"\0")
     struct.pack_into("<I", binary, 80, n)
     records = np.frombuffer(binary, _RECORD, count=n, offset=84)
-    for start in range(0, n, _CHUNK):
-        chunk = records[start : start + _CHUNK]
-        chunk["corners"] = v32[mesh.triangles[start : start + _CHUNK]]
-        chunk["normal"] = _unit_normals(chunk["corners"])
+    half = n // 2
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(_fill_records, records[half:], v32, mesh.triangles[half:])
+        _fill_records(records[:half], v32, mesh.triangles[:half])
+        second.result()
     if mode == "binary":
         return binary
 
     name = STL_HEADER_TAG.decode("ascii")
-    parts = [f"solid {name}\n".encode("ascii")]
+    text = bytearray(f"solid {name}\n".encode("ascii"))
     for start in range(0, n, _CHUNK):
         chunk = records[start : start + _CHUNK]
         values = np.concatenate([chunk["normal"], chunk["corners"].reshape(-1, 9)], axis=1)
-        parts.append(((_FACET * len(chunk)) % tuple(values.ravel().tolist())).encode("ascii"))
-    parts.append(f"endsolid {name}\n".encode("ascii"))
-    return bytearray().join(parts)
+        text += ((_FACET * len(chunk)) % tuple(values.ravel().tolist())).encode("ascii")
+    text += f"endsolid {name}\n".encode("ascii")
+    return text
 
 
 def _weld(tri_verts: np.ndarray) -> TriangleMesh:
@@ -275,15 +290,34 @@ def read_stl(data: bytes) -> TriangleMesh:
     return _weld(corners)
 
 
+def _count_degenerate(vertices: np.ndarray, tris: np.ndarray) -> int:
+    """Triangles of area at most ``DEGENERATE_AREA``, ``_CHUNK // 8`` at a time.
+
+    The test is made in squared form, ``|cross|^2 <= (2*thr)^2``, in float64.
+    """
+    sq_bound = (2.0 * DEGENERATE_AREA) ** 2
+    step = max(_CHUNK // 8, 1)
+    count = 0
+    for start in range(0, len(tris), step):
+        t = tris[start : start + step]
+        p0 = vertices[t[:, 0]]
+        cr = np.cross(vertices[t[:, 1]] - p0, vertices[t[:, 2]] - p0)
+        count += int(((cr * cr).sum(axis=1) <= sq_bound).sum())
+    return count
+
+
 def validate(mesh: TriangleMesh) -> MeshReport:
     """Report connectivity, closedness and quality; never raises on bad geometry.
 
     Components are computed over shared vertex indices (not spatial
-    proximity), so overlapping-but-unwelded components stay separate.  One
-    chunked pass over the triangles counts degenerate ones and encodes each
-    edge use as ``(lo*nv + hi) << 1 | (runs lo -> hi)``; a single sort then
-    groups the uses of each undirected edge into one run.
+    proximity), so overlapping-but-unwelded components stay separate.  A
+    second thread counts the degenerate triangles in blocks of
+    ``_CHUNK // 8``, while the calling thread encodes each edge use as
+    ``(lo*nv + hi) << 1 | (runs lo -> hi)`` in ``_CHUNK`` blocks; a single
+    sort then groups the uses of each undirected edge into one run.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
+
     from scipy.sparse import csr_matrix  # imported here: no other CLI command needs scipy
     from scipy.sparse.csgraph import connected_components
 
@@ -292,74 +326,71 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     nv = len(mesh.vertices)
     nt = len(tris)
 
-    # degenerate iff area <= threshold, compared in squared form: |cross|^2 <= (2*thr)^2
-    degenerate = 0
-    sq_bound = (2.0 * DEGENERATE_AREA) ** 2
-    keys = np.empty((nt, 3), dtype=np.int64)
-    for start in range(0, nt, _CHUNK):
-        t = tris[start : start + _CHUNK]
-        p0 = mesh.vertices[t[:, 0]]
-        cr = np.cross(mesh.vertices[t[:, 1]] - p0, mesh.vertices[t[:, 2]] - p0)
-        degenerate += int(((cr * cr).sum(axis=1) <= sq_bound).sum())
-        tail, head = t.astype(np.int64), t[:, [1, 2, 0]]
-        k = np.minimum(tail, head) * nv + np.maximum(tail, head)
-        k <<= 1
-        k |= tail < head
-        k[tail == head] = -1  # collapsed edge of a repeated-index triangle
-        keys[start : start + _CHUNK] = k
+    with ThreadPoolExecutor(1) as pool:
+        degenerate = pool.submit(_count_degenerate, mesh.vertices, tris)
 
-    keys = keys.reshape(-1)
-    keys.sort()
-    keys = keys[np.searchsorted(keys, 0) :]
-    forward = np.bitwise_and(keys, 1, out=np.empty(len(keys), dtype=np.int8))
-    keys >>= 1
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del first
-    ukeys = keys[starts]
-    count = np.diff(starts, append=len(keys))
-    del keys
-    net = 2 * np.add.reduceat(forward, starts, dtype=np.int64) - count
-    del forward, starts
-    balanced = net == 0
-    manifold = (count == 2) & balanced
-    boundary = count == 1
-    del net, count
+        keys = np.empty((nt, 3), dtype=np.int64)
+        for start in range(0, nt, _CHUNK):
+            t = tris[start : start + _CHUNK]
+            tail, head = t.astype(np.int64), t[:, [1, 2, 0]]
+            k = np.minimum(tail, head) * nv + np.maximum(tail, head)
+            k <<= 1
+            k |= tail < head
+            k[tail == head] = -1  # collapsed edge of a repeated-index triangle
+            keys[start : start + _CHUNK] = k
 
-    # ulo is sorted, so the edges from vertex r are ukeys[indptr[r]:indptr[r + 1]]
-    ulo = ukeys // nv
-    indptr = np.searchsorted(ulo, np.arange(nv + 1))
-    graph = csr_matrix((np.ones(len(ukeys)), ukeys % nv, indptr), shape=(nv, nv))
-    del ukeys, indptr
-    _, labels = connected_components(graph, directed=False)
-    del graph
-    referenced = np.zeros(nv, dtype=bool)
-    referenced[tris.ravel()] = True
-    comp_labels = np.unique(labels[referenced])
-    ncomp = len(comp_labels)
-    remap = np.full(labels.max() + 1 if nv else 1, -1, dtype=np.int64)
-    remap[comp_labels] = np.arange(ncomp)
-    edge_comp = remap[labels[ulo]]
-    del ulo
+        keys = keys.reshape(-1)
+        keys.sort()
+        keys = keys[np.searchsorted(keys, 0) :]
+        forward = np.bitwise_and(keys, 1, out=np.empty(len(keys), dtype=np.int8))
+        keys >>= 1
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first
+        ukeys = keys[starts]
+        count = np.diff(starts, append=len(keys))
+        del keys
+        net = 2 * np.add.reduceat(forward, starts, dtype=np.int64) - count
+        del forward, starts
+        balanced = net == 0
+        manifold = (count == 2) & balanced
+        boundary = count == 1
+        del net, count
 
-    v_per = np.bincount(remap[labels[referenced]], minlength=ncomp)
-    e_per = np.bincount(edge_comp, minlength=ncomp)
-    f_per = np.bincount(remap[labels[tris[:, 0]]], minlength=ncomp)
-    unbalanced_per = np.bincount(edge_comp[~balanced], minlength=ncomp)
-    nonmanifold_per = np.bincount(edge_comp[~manifold], minlength=ncomp)
-    boundary_per = np.bincount(edge_comp[boundary], minlength=ncomp)
-    bbox = (mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)) if nt else np.zeros((2, 3))
+        # ulo is sorted, so the edges from vertex r are ukeys[indptr[r]:indptr[r + 1]]
+        ulo = ukeys // nv
+        indptr = np.searchsorted(ulo, np.arange(nv + 1))
+        graph = csr_matrix((np.ones(len(ukeys)), ukeys % nv, indptr), shape=(nv, nv))
+        del ukeys, indptr
+        _, labels = connected_components(graph, directed=False)
+        del graph
+        referenced = np.zeros(nv, dtype=bool)
+        referenced[tris.ravel()] = True
+        comp_labels = np.unique(labels[referenced])
+        ncomp = len(comp_labels)
+        remap = np.full(labels.max() + 1 if nv else 1, -1, dtype=np.int64)
+        remap[comp_labels] = np.arange(ncomp)
+        edge_comp = remap[labels[ulo]]
+        del ulo
 
-    return MeshReport(
-        component_count=ncomp,
-        watertight_per_component=unbalanced_per == 0,
-        euler_characteristic_per_component=v_per - e_per + f_per,
-        edge_manifold_per_component=nonmanifold_per == 0,
-        boundary_edges_per_component=boundary_per,
-        bbox_min=Vec3(*(float(c) for c in bbox[0])),
-        bbox_max=Vec3(*(float(c) for c in bbox[1])),
-        triangle_count=len(tris),
-        degenerate_count=degenerate,
-    )
+        v_per = np.bincount(remap[labels[referenced]], minlength=ncomp)
+        e_per = np.bincount(edge_comp, minlength=ncomp)
+        f_per = np.bincount(remap[labels[tris[:, 0]]], minlength=ncomp)
+        unbalanced_per = np.bincount(edge_comp[~balanced], minlength=ncomp)
+        nonmanifold_per = np.bincount(edge_comp[~manifold], minlength=ncomp)
+        boundary_per = np.bincount(edge_comp[boundary], minlength=ncomp)
+        bbox = (mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)) if nt else np.zeros((2, 3))
+
+        return MeshReport(
+            component_count=ncomp,
+            watertight_per_component=unbalanced_per == 0,
+            euler_characteristic_per_component=v_per - e_per + f_per,
+            edge_manifold_per_component=nonmanifold_per == 0,
+            boundary_edges_per_component=boundary_per,
+            bbox_min=Vec3(*(float(c) for c in bbox[0])),
+            bbox_max=Vec3(*(float(c) for c in bbox[1])),
+            triangle_count=len(tris),
+            degenerate_count=degenerate.result(),
+        )

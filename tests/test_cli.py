@@ -545,15 +545,18 @@ def test_run_config_defaults_are_the_library_defaults():
 
 
 def test_import_leaves_scipy_unloaded():
-    # only validate needs scipy, so homology and sample do not pay for its import
+    # only validate needs scipy, so homology and sample do not pay for its import; the
+    # thread pool of validate and write_stl is imported by them alone too
+    code = ("import sys, identispace.cli; "
+            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, identispace.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=python_path(ROOT / "src"),
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
 
 
 def load_benchmark():

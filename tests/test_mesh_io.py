@@ -1,5 +1,6 @@
 import gc
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -147,10 +148,13 @@ def test_ascii_matches_per_facet_oracle(mesh):
     assert write_stl(mesh, "ascii") == ascii_stl_per_facet(mesh.vertices, mesh.triangles)
 
 
-def test_chunk_boundaries_leave_bytes_unchanged(monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunk_boundaries_leave_bytes_unchanged(monkeypatch, chunk):
+    # 40 triangles: partial last blocks, the half split inside a block at 7, and
+    # the _CHUNK // 2 record blocks clamped to one triangle at 1
     mesh = one_capsule((0.1, 0.2, 0.3), (1, 2, 3), 0.45, 5)
     whole = write_stl(mesh, "binary"), write_stl(mesh, "ascii")
-    monkeypatch.setattr(mesh_io, "_CHUNK", 7)  # 40 triangles: a partial last chunk
+    monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
     assert (write_stl(mesh, "binary"), write_stl(mesh, "ascii")) == whole
     assert whole[1] == ascii_stl_per_facet(mesh.vertices, mesh.triangles)
 
@@ -462,14 +466,63 @@ def report_fields(report) -> dict:
     }
 
 
+ORACLE_EXAMPLES = {
+    "all-collapsed": TriangleMesh(np.zeros((1, 3)), np.zeros((1, 3), np.int32)),
+    "no-triangles": TriangleMesh(np.zeros((2, 3)), np.zeros((0, 3), np.int32)),
+    "bbox-stays-zero": TriangleMesh(np.eye(3), np.zeros((0, 3), np.int32)),
+    "repeated-indices": TriangleMesh(np.eye(3), np.array([[0, 0, 1], [2, 2, 2], [1, 0, 0]],
+                                                         np.int32)),
+}
+
+
 @given(report_meshes())
-@example(TriangleMesh(np.zeros((1, 3)), np.zeros((1, 3), np.int32)))  # all collapsed
-@example(TriangleMesh(np.zeros((2, 3)), np.zeros((0, 3), np.int32)))  # no triangles
-@example(TriangleMesh(np.eye(3), np.zeros((0, 3), np.int32)))  # bbox stays (0, 0, 0)
-@example(TriangleMesh(np.eye(3), np.array([[0, 0, 1], [2, 2, 2], [1, 0, 0]], np.int32)))
+@example(ORACLE_EXAMPLES["all-collapsed"])
+@example(ORACLE_EXAMPLES["no-triangles"])
+@example(ORACLE_EXAMPLES["bbox-stays-zero"])
+@example(ORACLE_EXAMPLES["repeated-indices"])
 def test_validate_matches_oracle(mesh):
     expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
     assert report_fields(validate(mesh)) == expected
+
+
+SMALL_BLOCK_MESHES = {
+    "tetrahedron": tetrahedron(),
+    "flipped": tetrahedron(flip_one=True),
+    "open": tetrahedron(drop_one=True),
+    **ORACLE_EXAMPLES,
+}
+
+
+@pytest.mark.parametrize("mesh", SMALL_BLOCK_MESHES.values(), ids=SMALL_BLOCK_MESHES)
+def test_validate_small_blocks_match_oracle(monkeypatch, mesh):
+    # edge keys in blocks of 2 triangles; the _CHUNK // 8 area blocks clamp to 1
+    monkeypatch.setattr(mesh_io, "_CHUNK", 2)
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    assert report_fields(validate(mesh)) == expected
+
+
+def test_worker_thread_failure_reaches_caller(monkeypatch):
+    mesh = one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, 6)
+    fill = mesh_io._fill_records
+
+    def fill_on_caller_only(records, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("injected on the worker")
+        fill(records, *args)
+
+    def count_fails(*args):
+        raise MemoryError("injected on the worker")
+
+    threads = threading.active_count()
+    monkeypatch.setattr(mesh_io, "_fill_records", fill_on_caller_only)
+    for mode in ("binary", "ascii"):
+        with pytest.raises(MemoryError, match="worker"):
+            write_stl(mesh, mode)
+        assert threading.active_count() == threads
+    monkeypatch.setattr(mesh_io, "_count_degenerate", count_fails)
+    with pytest.raises(MemoryError, match="worker"):
+        validate(mesh)
+    assert threading.active_count() == threads
 
 
 def test_bbox():
@@ -513,6 +566,11 @@ def test_validate_built_mesh_peak(torus_6x12):
 def test_binary_write_peak(torus_6x12):
     # a record array joined into a second copy of the file reaches 106
     assert peak_bytes_per_triangle(write_stl, torus_6x12) < 94
+
+
+def test_ascii_write_peak(torus_6x12):
+    # every chunk's text kept in a list and then joined into a second copy reaches 525
+    assert peak_bytes_per_triangle(lambda mesh: write_stl(mesh, "ascii"), torus_6x12) < 450
 
 
 def test_read_peak(torus_6x12):
