@@ -46,7 +46,7 @@ STL_TRIANGLE_LIMIT = 2**32  # the binary header stores the count as uint32
 # one packed 50-byte binary facet record
 _RECORD = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attribute", "<u2")])
 _XYZ = np.dtype([("xyz", "<f8", 3)])  # an ASCII vertex row: loadtxt demands exactly 3 numbers
-_CHUNK = 1 << 16  # triangles (corners in _weld) per block for memory-bounded passes
+_CHUNK = 1 << 16  # triangles per block for memory-bounded passes
 _FACET = (
     "  facet normal %.9g %.9g %.9g\n    outer loop\n"
     + "      vertex %.9g %.9g %.9g\n" * 3
@@ -203,43 +203,90 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
     return text
 
 
+def _unique_keys(xy: np.ndarray, z: np.ndarray, inverse: np.ndarray) -> tuple:
+    """Sorted unique 96-bit keys (uint64 ``x << 32 | y``, uint32 ``z``).
+
+    Each key's index among them is written to the int32 ``inverse``.
+    """
+    order = np.lexsort((z, xy))  # two radix passes instead of three
+    xy, z = xy[order], z[order]
+    first = np.empty(len(xy), dtype=bool)
+    first[:1] = True
+    np.not_equal(xy[1:], xy[:-1], out=first[1:])
+    first[1:] |= z[1:] != z[:-1]
+    inverse[order] = np.cumsum(first, dtype=np.int32) - 1
+    return xy[first], z[first]
+
+
+def _dedup_blocks(bits: np.ndarray, inverse: np.ndarray) -> tuple[list, list]:
+    """The unique corner keys of each ``_CHUNK``-triangle block of (T,3,3) uint32 bits.
+
+    Each corner's index among its block's keys is written to ``inverse``
+    (3T int32); the keys come back as two lists, one entry per block.
+    """
+    step = max(_CHUNK, 1)
+    xys, zs = [], []
+    for start in range(0, len(bits), step):
+        block = bits[start : start + step]
+        xy = block[..., 0].astype(np.uint64)
+        xy <<= 32
+        xy |= block[..., 1]
+        xy, z = _unique_keys(
+            xy.reshape(-1), block[..., 2].reshape(-1), inverse[3 * start : 3 * (start + step)]
+        )
+        xys.append(xy)
+        zs.append(z)
+    return xys, zs
+
+
 def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     """Index a (T,3,3) float32 coordinate soup, welding bit-identical vertices.
 
     Identity is the 96-bit pattern, so -0.0 and +0.0 are distinct vertices.
     A NaN or infinite coordinate raises ``StlError``.  ``tri_verts`` may be a
-    strided view of the file's records; it is never copied whole.  Each
-    corner costs a 12-byte key (uint64 ``x << 32 | y`` and uint32 ``z``),
-    8 bytes of sort order and a 4-byte vertex index; the sorted keys are
-    gathered ``_CHUNK`` corners at a time.
+    strided view of the file's records; it is never copied whole.  Each block
+    of ``_CHUNK`` triangles is deduplicated on its own, the first half of the
+    blocks on the calling thread and the rest on a second thread.  One sort
+    of the block-unique keys (half a key per corner on a tessellated mesh)
+    (a sixth of the corners on the default torus) then ranks them into
+    vertices.  The only array with an entry per corner is the 4-byte vertex
+    index, remapped in place block by block.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
+
     bits = tri_verts.view("<u4")
-    xy = bits[..., 0].astype(np.uint64)
-    xy <<= 32
-    xy |= bits[..., 1]
-    xy, z = xy.reshape(-1), bits[..., 2].astype(np.uint32).reshape(-1)
-    order = np.lexsort((z, xy))  # two radix passes instead of three
-    inverse = np.empty(len(order), dtype=np.int32)
-    firsts = [np.empty(0, dtype=np.intp)]  # the first corner of each run of equal keys
-    welded = 0
-    for start in range(0, len(order), _CHUNK):
-        at = order[start : start + _CHUNK]
-        run_xy, run_z = xy[at], z[at]
-        first = np.empty(len(at), dtype=bool)
-        before = order[start - 1]  # the last corner of the previous block
-        first[0] = start == 0 or xy[before] != run_xy[0] or z[before] != run_z[0]
-        np.not_equal(run_xy[1:], run_xy[:-1], out=first[1:])
-        first[1:] |= run_z[1:] != run_z[:-1]
-        index = np.cumsum(first, dtype=np.int32)
-        index += welded - 1
-        inverse[at] = index
-        welded = int(index[-1]) + 1
-        firsts.append(at[first])
-    del xy, z, order
-    corner = np.concatenate(firsts)
-    vertices = tri_verts[corner // 3, corner % 3]
+    step = max(_CHUNK, 1)
+    half = (-(-len(bits) // step) + 1) // 2 * step  # the first half of the blocks, rounded up
+    inverse = np.empty(3 * len(bits), dtype=np.int32)
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(_dedup_blocks, bits[half:], inverse[3 * half :])
+        xys, zs = _dedup_blocks(bits[:half], inverse[: 3 * half])
+        more_xys, more_zs = second.result()
+    xys += more_xys
+    zs += more_zs
+    del more_xys, more_zs
+    sizes = [len(z) for z in zs]
+    rank = np.empty(sum(sizes), dtype=np.int32)
+    xy, z = _unique_keys(
+        np.concatenate([np.empty(0, dtype=np.uint64), *xys]),
+        np.concatenate([np.empty(0, dtype=np.uint32), *zs]),
+        rank,
+    )
+    del xys, zs
+    vertex_bits = np.empty((len(xy), 3), dtype="<u4")
+    vertex_bits[:, 0] = xy >> 32
+    vertex_bits[:, 1] = xy & 0xFFFFFFFF
+    vertex_bits[:, 2] = z
+    del xy, z
+    vertices = vertex_bits.view("<f4")
     if not np.isfinite(vertices).all():
         raise StlError("STL has a non-finite vertex coordinate")
+
+    offset = 0
+    for block, size in enumerate(sizes):
+        corners = inverse[3 * step * block : 3 * step * (block + 1)]
+        corners[:] = rank[offset : offset + size][corners]
+        offset += size
     return TriangleMesh(vertices.astype(np.float64), inverse.reshape(-1, 3))
 
 
@@ -276,7 +323,9 @@ def read_stl(data: bytes) -> TriangleMesh:
     """Parse STL bytes (binary or ASCII, auto-detected) into a welded mesh.
 
     Triangle order is preserved; vertices sort by their (x, y, z) float32 bit
-    patterns read as uint32, so 1.0 < 2.0 < -0.0.
+    patterns read as uint32, so 1.0 < 2.0 < -0.0.  Beside ``data`` (and the
+    corners ``_parse_ascii`` decodes from text), the weld holds 4 bytes per
+    corner plus the block-unique keys; its blocks run on two threads.
     """
     if data.lstrip()[:5] != b"solid":
         return _weld(_parse_binary(data))
@@ -306,6 +355,24 @@ def _count_degenerate(vertices: np.ndarray, tris: np.ndarray) -> int:
     return count
 
 
+def _edge_keys(tris: np.ndarray, nv: int) -> np.ndarray:
+    """Each edge use as ``(lo*nv + hi) << 1 | (runs lo -> hi)``, ``_CHUNK`` triangles at a time.
+
+    A collapsed edge of a repeated-index triangle gets -1.  The block
+    temporaries end with the call, before ``validate`` sorts the keys.
+    """
+    keys = np.empty((len(tris), 3), dtype=np.int64)
+    for start in range(0, len(tris), _CHUNK):
+        t = tris[start : start + _CHUNK]
+        tail, head = t.astype(np.int64), t[:, [1, 2, 0]]
+        k = np.minimum(tail, head) * nv + np.maximum(tail, head)
+        k <<= 1
+        k |= tail < head
+        k[tail == head] = -1
+        keys[start : start + _CHUNK] = k
+    return keys.reshape(-1)
+
+
 def validate(mesh: TriangleMesh) -> MeshReport:
     """Report connectivity, closedness and quality; never raises on bad geometry.
 
@@ -314,7 +381,10 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     second thread counts the degenerate triangles in blocks of
     ``_CHUNK // 8``, while the calling thread encodes each edge use as
     ``(lo*nv + hi) << 1 | (runs lo -> hi)`` in ``_CHUNK`` blocks; a single
-    sort then groups the uses of each undirected edge into one run.
+    sort then groups the uses of each undirected edge into one run.  Beside
+    its 8-byte key, an edge use costs a byte of direction and a byte of run
+    flag.  Per edge, the use count and the net direction are 4-byte integers
+    while ``3 * nt < 2**31``, and 8-byte above.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
 
@@ -329,17 +399,7 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     with ThreadPoolExecutor(1) as pool:
         degenerate = pool.submit(_count_degenerate, mesh.vertices, tris)
 
-        keys = np.empty((nt, 3), dtype=np.int64)
-        for start in range(0, nt, _CHUNK):
-            t = tris[start : start + _CHUNK]
-            tail, head = t.astype(np.int64), t[:, [1, 2, 0]]
-            k = np.minimum(tail, head) * nv + np.maximum(tail, head)
-            k <<= 1
-            k |= tail < head
-            k[tail == head] = -1  # collapsed edge of a repeated-index triangle
-            keys[start : start + _CHUNK] = k
-
-        keys = keys.reshape(-1)
+        keys = _edge_keys(tris, nv)
         keys.sort()
         keys = keys[np.searchsorted(keys, 0) :]
         forward = np.bitwise_and(keys, 1, out=np.empty(len(keys), dtype=np.int8))
@@ -350,20 +410,30 @@ def validate(mesh: TriangleMesh) -> MeshReport:
         starts = np.flatnonzero(first)
         del first
         ukeys = keys[starts]
-        count = np.diff(starts, append=len(keys))
+        uses = np.int32 if 3 * nt < 2**31 else np.int64  # wide enough for any count of uses
+        count = np.empty(len(starts), dtype=uses)
+        np.subtract(starts[1:], starts[:-1], out=count[:-1])
+        count[-1:] = len(keys) - starts[-1:]
         del keys
-        net = 2 * np.add.reduceat(forward, starts, dtype=np.int64) - count
+        net = np.empty(len(starts), dtype=uses)
+        for at in range(0, len(starts), _CHUNK):  # in blocks: reduceat casts its whole input
+            run = starts[at : at + _CHUNK]
+            end = starts[at + _CHUNK] if at + _CHUNK < len(starts) else len(forward)
+            net[at : at + _CHUNK] = np.add.reduceat(forward[run[0] : end], run - run[0], dtype=uses)
         del forward, starts
+        net *= 2
+        net -= count
         balanced = net == 0
         manifold = (count == 2) & balanced
         boundary = count == 1
         del net, count
 
-        # ulo is sorted, so the edges from vertex r are ukeys[indptr[r]:indptr[r + 1]]
-        ulo = ukeys // nv
-        indptr = np.searchsorted(ulo, np.arange(nv + 1))
-        graph = csr_matrix((np.ones(len(ukeys)), ukeys % nv, indptr), shape=(nv, nv))
-        del ukeys, indptr
+        # ukeys is sorted, so the edges from vertex r, those with lo == r, are
+        # ukeys[indptr[r]:indptr[r + 1]]; their hi ends are the remainders mod nv
+        indptr = np.searchsorted(ukeys, np.arange(nv + 1, dtype=np.int64) * nv)
+        uhi = np.remainder(ukeys, nv, out=ukeys)
+        graph = csr_matrix((np.ones(len(uhi)), uhi, indptr), shape=(nv, nv))
+        del ukeys, uhi
         _, labels = connected_components(graph, directed=False)
         del graph
         referenced = np.zeros(nv, dtype=bool)
@@ -372,8 +442,8 @@ def validate(mesh: TriangleMesh) -> MeshReport:
         ncomp = len(comp_labels)
         remap = np.full(labels.max() + 1 if nv else 1, -1, dtype=np.int64)
         remap[comp_labels] = np.arange(ncomp)
-        edge_comp = remap[labels[ulo]]
-        del ulo
+        edge_comp = remap[np.repeat(labels, np.diff(indptr))]  # the component of each lo end
+        del indptr
 
         v_per = np.bincount(remap[labels[referenced]], minlength=ncomp)
         e_per = np.bincount(edge_comp, minlength=ncomp)

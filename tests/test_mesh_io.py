@@ -1,7 +1,9 @@
 import gc
 import struct
+import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -336,18 +338,77 @@ def corner_soups(draw):
     return np.array(pool, np.float32)[picks[: len(picks) // 3 * 3]]
 
 
-@pytest.mark.parametrize("mode", ["binary", "ascii"])
-@settings(max_examples=60)
-@given(soup=corner_soups())
-def test_weld_matches_unique_rows(mode, soup):
-    mesh = TriangleMesh(soup, np.arange(len(soup), dtype=np.int32))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(mesh_io, "_CHUNK", 2)  # runs of equal corners cross blocks
-        back = read_stl(write_stl(mesh, mode))
+def assert_welds_to_unique_rows(back: TriangleMesh, soup: np.ndarray) -> None:
     # rows sort as uint32 (x, y, z), the documented vertex order
     rows, inverse = np.unique(soup.view("<u4"), axis=0, return_inverse=True)
     assert np.array_equal(back.vertices.astype(np.float32).view("<u4"), rows)
     assert np.array_equal(back.triangles.ravel(), inverse.ravel())
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("mode", ["binary", "ascii"])
+@settings(max_examples=60)
+@given(soup=corner_soups())
+def test_weld_matches_unique_rows(mode, chunk, soup):
+    mesh = TriangleMesh(soup, np.arange(len(soup), dtype=np.int32))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mesh_io, "_CHUNK", chunk)  # equal corners fall in different blocks
+        back = read_stl(write_stl(mesh, mode))
+    assert_welds_to_unique_rows(back, soup)
+
+
+def shared_vertex_soup() -> np.ndarray:
+    """(27, 3) float32 corners of 9 triangles that all touch (1, 2, 3).
+
+    Triangles 0 and 8 are equal, and every pool row recurs in both the first
+    six triangles and the last three.
+    """
+    pool = np.array([(1, 2, 3), (0, 0, 0), (-0.0, 0, 0), (1, 2, -3), (5, 5, 5), (0, 1, 0)])
+    picks = [0, 1, 2, 3, 0, 4, 5, 0, 1, 0, 3, 5, 2, 4, 0, 0, 5, 1, 4, 0, 3, 5, 1, 0, 0, 1, 2]
+    return pool.astype(np.float32)[picks]
+
+
+def test_weld_splits_blocks_between_threads(monkeypatch):
+    soup = shared_vertex_soup()
+    mesh = TriangleMesh(soup, np.arange(len(soup), dtype=np.int32))
+    data = bytes(write_stl(mesh))
+    dedup, calls = mesh_io._dedup_blocks, []
+
+    def recorded(bits, inverse):
+        calls.append((threading.current_thread() is threading.main_thread(), len(bits)))
+        return dedup(bits, inverse)
+
+    monkeypatch.setattr(mesh_io, "_CHUNK", 2)
+    monkeypatch.setattr(mesh_io, "_dedup_blocks", recorded)
+    back = read_stl(data)
+    assert sorted(calls) == [(False, 3), (True, 6)]  # blocks 2+1 on the worker, 2+2+2 here
+    assert_welds_to_unique_rows(back, soup)
+
+    bad = bytearray(data)
+    struct.pack_into("<f", bad, 84 + 50 * 7 + 12 + 8, float("nan"))  # facet 7, corner 0, z
+    with pytest.raises(StlError, match="non-finite"):
+        read_stl(bytes(bad))
+
+    empty = read_stl(bytes(write_stl(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int32)))))
+    assert empty.vertices.shape == (0, 3) and empty.triangles.shape == (0, 3)
+
+
+def test_concurrent_reads_weld_alike(monkeypatch):
+    # four readers with a weld worker each: more threads than cores, switching often
+    rng = np.random.default_rng(5)
+    pool = rng.integers(-3, 4, size=(40, 3)).astype(np.float32)
+    soup = pool[rng.integers(0, len(pool), size=3 * 1000)]
+    data = bytes(write_stl(TriangleMesh(soup, np.arange(len(soup), dtype=np.int32))))
+    monkeypatch.setattr(mesh_io, "_CHUNK", 64)  # 16 blocks, 8 on each thread
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as readers:
+            backs = list(readers.map(lambda _: read_stl(data), range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for back in backs:
+        assert_welds_to_unique_rows(back, soup)
 
 
 # --- validate ----------------------------------------------------------------
@@ -501,9 +562,36 @@ def test_validate_small_blocks_match_oracle(monkeypatch, mesh):
     assert report_fields(validate(mesh)) == expected
 
 
+def wide_edge_mesh(closed: bool) -> TriangleMesh:
+    """300 triangles on the edge (0, 1), in both orientations.
+
+    Closed: 150 tetrahedra share the edge, so it runs 150 times each way.
+    Open: 278 copies of (0, 1, 2) and 22 of (1, 0, 2) leave each edge of the
+    triangle 256 uses out of balance.  In int8 the first sum wraps to -106
+    and the second excess to 0.
+    """
+    if not closed:
+        return TriangleMesh(np.eye(3), np.array([(0, 1, 2)] * 278 + [(1, 0, 2)] * 22, np.int32))
+    angles = np.arange(300) * (2 * np.pi / 300)
+    apexes = np.stack([np.full(300, 0.5), np.cos(angles), np.sin(angles)], axis=1)
+    faces = [face for a in range(2, 302, 2)
+             for face in [(0, a, 1), (0, 1, a + 1), (0, a + 1, a), (1, a, a + 1)]]
+    return TriangleMesh(np.vstack([[(0.0, 0, 0), (1.0, 0, 0)], apexes]), np.array(faces, np.int32))
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_validate_counts_wide_edge_runs_exactly(monkeypatch, closed):
+    mesh = wide_edge_mesh(closed)
+    monkeypatch.setattr(mesh_io, "_CHUNK", 2)
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    assert report_fields(validate(mesh)) == expected
+    assert expected["watertight_per_component"] == [closed]
+
+
 def test_worker_thread_failure_reaches_caller(monkeypatch):
     mesh = one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, 6)
-    fill = mesh_io._fill_records
+    data = bytes(write_stl(mesh))
+    fill, dedup = mesh_io._fill_records, mesh_io._dedup_blocks
 
     def fill_on_caller_only(records, *args):
         if threading.current_thread() is not threading.main_thread():
@@ -512,6 +600,11 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
 
     def count_fails(*args):
         raise MemoryError("injected on the worker")
+
+    def dedup_on_caller_only(bits, inverse):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("injected on the worker")
+        return dedup(bits, inverse)
 
     threads = threading.active_count()
     monkeypatch.setattr(mesh_io, "_fill_records", fill_on_caller_only)
@@ -522,6 +615,10 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
     monkeypatch.setattr(mesh_io, "_count_degenerate", count_fails)
     with pytest.raises(MemoryError, match="worker"):
         validate(mesh)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(mesh_io, "_dedup_blocks", dedup_on_caller_only)
+    with pytest.raises(MemoryError, match="worker"):
+        read_stl(data)
     assert threading.active_count() == threads
 
 
@@ -559,8 +656,9 @@ def peak_bytes_per_triangle(fn, arg) -> float:
 
 
 def test_validate_built_mesh_peak(torus_6x12):
-    # shifted copies of the edge keys and a COO graph reach 150
-    assert peak_bytes_per_triangle(validate, torus_6x12) < 127
+    # np.diff's appended copy of the run starts, an int64 cast of the direction
+    # bits and ukeys // nv beside ukeys % nv reach 88
+    assert peak_bytes_per_triangle(validate, torus_6x12) < 79
 
 
 def test_binary_write_peak(torus_6x12):
@@ -574,12 +672,12 @@ def test_ascii_write_peak(torus_6x12):
 
 
 def test_read_peak(torus_6x12):
-    # a contiguous corner copy plus a sorted gather of all 96-bit corners reach 135
+    # a global lexsort of every corner's 96-bit key reaches 78
     data = bytes(write_stl(torus_6x12))
-    assert peak_bytes_per_triangle(read_stl, data) < 111
+    assert peak_bytes_per_triangle(read_stl, data) < 64
 
 
 def test_validate_read_back_peak(torus_6x12):
-    # the same validate temporaries reach 92 on the welded mesh
+    # the same validate temporaries reach 61 on the welded mesh
     back = read_stl(bytes(write_stl(torus_6x12)))
-    assert peak_bytes_per_triangle(validate, back) < 81
+    assert peak_bytes_per_triangle(validate, back) < 57
