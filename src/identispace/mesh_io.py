@@ -47,6 +47,7 @@ STL_TRIANGLE_LIMIT = 2**32  # the binary header stores the count as uint32
 _RECORD = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attribute", "<u2")])
 _XYZ = np.dtype([("xyz", "<f8", 3)])  # an ASCII vertex row: loadtxt demands exactly 3 numbers
 _CHUNK = 1 << 16  # triangles per block for memory-bounded passes
+_VERTEX_LIMIT = 2**31  # welded vertices are indexed by int32
 _FACET = (
     "  facet normal %.9g %.9g %.9g\n    outer loop\n"
     + "      vertex %.9g %.9g %.9g\n" * 3
@@ -203,40 +204,82 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
     return text
 
 
-def _unique_keys(xy: np.ndarray, z: np.ndarray, inverse: np.ndarray) -> tuple:
-    """Sorted unique 96-bit keys (uint64 ``x << 32 | y``, uint32 ``z``).
+def _unique_rows(parts: list, inverse: np.ndarray) -> np.ndarray:
+    """The sorted unique rows among the (n,3) uint32 ``parts``; the list is emptied.
 
-    Each key's index among them is written to the int32 ``inverse``.
+    Each row's index among them is written to the int32 ``inverse``.  Rows
+    sort as (x, y, z) by two one-word sorts: the uint64 ``x << 32 | y`` word
+    first, then the run key ``(index of the word's run) << 32 | z``, which is
+    in order already except inside runs of equal words.  Equal run keys are
+    equal rows.  ``StlError`` is raised from ``_VERTEX_LIMIT`` unique rows
+    on, which also keeps the run index within 32 bits.
     """
-    order = np.lexsort((z, xy))  # two radix passes instead of three
-    xy, z = xy[order], z[order]
-    first = np.empty(len(xy), dtype=bool)
+    key = np.concatenate([np.empty(0, dtype=np.uint64), *(p[:, 0] for p in parts)])
+    key <<= 32
+    key |= np.concatenate([np.empty(0, dtype=np.uint32), *(p[:, 1] for p in parts)])
+    z = np.concatenate([np.empty(0, dtype=np.uint32), *(p[:, 2] for p in parts)])
+    parts.clear()
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
     first[:1] = True
-    np.not_equal(xy[1:], xy[:-1], out=first[1:])
-    first[1:] |= z[1:] != z[:-1]
-    inverse[order] = np.cumsum(first, dtype=np.int32) - 1
-    return xy[first], z[first]
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    xy = key[first]  # one word per run
+    _check_vertex_count(len(xy))
+    _number_runs(first, key)
+    del first
+    key <<= 32
+    step = 3 * max(_CHUNK, 1)  # the gathers go a block's corners at a time, not whole
+    for start in range(0, len(key), step):
+        key[start : start + step] |= z[order[start : start + step]]
+    del z
+    sub = np.argsort(key, kind="stable")  # near-linear: only the runs are out of order
+    key.sort()  # key[sub], without a second array
+    for start in range(0, len(sub), step):  # sub becomes order[sub] without a third array
+        block = sub[start : start + step]
+        block[:] = order[block]
+    order = sub
+    del sub
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    unique = key[first]
+    _check_vertex_count(len(unique))
+    inverse[order] = _number_runs(first, key)
+    del order, first, key
+    rows = np.empty((len(unique), 3), dtype=np.uint32)
+    rows[:, 2] = unique & 0xFFFFFFFF
+    xy = xy[unique >> 32]
+    rows[:, 0] = xy >> 32
+    rows[:, 1] = xy & 0xFFFFFFFF
+    return rows
 
 
-def _dedup_blocks(bits: np.ndarray, inverse: np.ndarray) -> tuple[list, list]:
-    """The unique corner keys of each ``_CHUNK``-triangle block of (T,3,3) uint32 bits.
+def _number_runs(first: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the index of each element's run, given the bool run starts."""
+    out[:] = first
+    out[:1] = 0
+    return np.cumsum(out, out=out)
 
-    Each corner's index among its block's keys is written to ``inverse``
-    (3T int32); the keys come back as two lists, one entry per block.
+
+def _check_vertex_count(count: int) -> None:
+    if count >= _VERTEX_LIMIT:
+        raise StlError(f"STL has more than {_VERTEX_LIMIT - 1} distinct vertices, "
+                       "past the int32 vertex index")
+
+
+def _dedup_blocks(bits: np.ndarray, inverse: np.ndarray) -> list:
+    """The unique rows of each ``_CHUNK``-triangle block of (T,3,3) uint32 bits.
+
+    Each corner's index among its block's rows is written to ``inverse``
+    (3T int32); the rows come back as a list, one (n,3) array per block.
     """
     step = max(_CHUNK, 1)
-    xys, zs = [], []
-    for start in range(0, len(bits), step):
-        block = bits[start : start + step]
-        xy = block[..., 0].astype(np.uint64)
-        xy <<= 32
-        xy |= block[..., 1]
-        xy, z = _unique_keys(
-            xy.reshape(-1), block[..., 2].reshape(-1), inverse[3 * start : 3 * (start + step)]
-        )
-        xys.append(xy)
-        zs.append(z)
-    return xys, zs
+    return [
+        _unique_rows([bits[start : start + step].reshape(-1, 3)],
+                     inverse[3 * start : 3 * (start + step)])
+        for start in range(0, len(bits), step)
+    ]
 
 
 def _weld(tri_verts: np.ndarray) -> TriangleMesh:
@@ -247,9 +290,9 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     strided view of the file's records; it is never copied whole.  Each block
     of ``_CHUNK`` triangles is deduplicated on its own, the first half of the
     blocks on the calling thread and the rest on a second thread.  One sort
-    of the block-unique keys (half a key per corner on a tessellated mesh)
-    (a sixth of the corners on the default torus) then ranks them into
-    vertices.  The only array with an entry per corner is the 4-byte vertex
+    of the block-unique rows then ranks them into vertices; on a tessellated
+    mesh there is about half a row per corner, and on the default torus a
+    sixth.  The only array with an entry per corner is the 4-byte vertex
     index, remapped in place block by block.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
@@ -260,25 +303,11 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     inverse = np.empty(3 * len(bits), dtype=np.int32)
     with ThreadPoolExecutor(1) as pool:
         second = pool.submit(_dedup_blocks, bits[half:], inverse[3 * half :])
-        xys, zs = _dedup_blocks(bits[:half], inverse[: 3 * half])
-        more_xys, more_zs = second.result()
-    xys += more_xys
-    zs += more_zs
-    del more_xys, more_zs
-    sizes = [len(z) for z in zs]
+        blocks = _dedup_blocks(bits[:half], inverse[: 3 * half])
+        blocks += second.result()
+    sizes = [len(rows) for rows in blocks]
     rank = np.empty(sum(sizes), dtype=np.int32)
-    xy, z = _unique_keys(
-        np.concatenate([np.empty(0, dtype=np.uint64), *xys]),
-        np.concatenate([np.empty(0, dtype=np.uint32), *zs]),
-        rank,
-    )
-    del xys, zs
-    vertex_bits = np.empty((len(xy), 3), dtype="<u4")
-    vertex_bits[:, 0] = xy >> 32
-    vertex_bits[:, 1] = xy & 0xFFFFFFFF
-    vertex_bits[:, 2] = z
-    del xy, z
-    vertices = vertex_bits.view("<f4")
+    vertices = _unique_rows(blocks, rank).view("<f4")
     if not np.isfinite(vertices).all():
         raise StlError("STL has a non-finite vertex coordinate")
 
@@ -325,7 +354,10 @@ def read_stl(data: bytes) -> TriangleMesh:
     Triangle order is preserved; vertices sort by their (x, y, z) float32 bit
     patterns read as uint32, so 1.0 < 2.0 < -0.0.  Beside ``data`` (and the
     corners ``_parse_ascii`` decodes from text), the weld holds 4 bytes per
-    corner plus the block-unique keys; its blocks run on two threads.
+    corner plus the block-unique rows; its blocks run on two threads, and its
+    sorts are one-word ``np.argsort`` calls.  A file with ``_VERTEX_LIMIT``
+    (2**31) or more distinct vertices, past the int32 vertex index, raises
+    ``StlError``.
     """
     if data.lstrip()[:5] != b"solid":
         return _weld(_parse_binary(data))
@@ -355,36 +387,41 @@ def _count_degenerate(vertices: np.ndarray, tris: np.ndarray) -> int:
     return count
 
 
-def _edge_keys(tris: np.ndarray, nv: int) -> np.ndarray:
-    """Each edge use as ``(lo*nv + hi) << 1 | (runs lo -> hi)``, ``_CHUNK`` triangles at a time.
+def _edge_keys(tris: np.ndarray, nv: int, keys: np.ndarray) -> None:
+    """Fill the (T,3) int64 ``keys`` with each edge use as ``(lo*nv + hi) << 1 | (runs lo -> hi)``.
 
-    A collapsed edge of a repeated-index triangle gets -1.  The block
-    temporaries end with the call, before ``validate`` sorts the keys.
+    A collapsed edge of a repeated-index triangle gets -1.  The triangles go
+    ``_CHUNK // 2`` at a time, so the block temporaries of the two threads
+    that fill a mesh's halves add up to one ``_CHUNK`` block, and they end
+    with the call, before ``validate`` sorts the keys.
     """
-    keys = np.empty((len(tris), 3), dtype=np.int64)
-    for start in range(0, len(tris), _CHUNK):
-        t = tris[start : start + _CHUNK]
-        tail, head = t.astype(np.int64), t[:, [1, 2, 0]]
-        k = np.minimum(tail, head) * nv + np.maximum(tail, head)
+    step = max(_CHUNK // 2, 1)
+    for start in range(0, len(tris), step):
+        t = tris[start : start + step]
+        head = t[:, [1, 2, 0]]
+        k = keys[start : start + step]
+        np.minimum(t, head, out=k)
+        k *= nv
+        k += np.maximum(t, head)
         k <<= 1
-        k |= tail < head
-        k[tail == head] = -1
-        keys[start : start + _CHUNK] = k
-    return keys.reshape(-1)
+        k |= t < head
+        k[t == head] = -1
 
 
 def validate(mesh: TriangleMesh) -> MeshReport:
     """Report connectivity, closedness and quality; never raises on bad geometry.
 
     Components are computed over shared vertex indices (not spatial
-    proximity), so overlapping-but-unwelded components stay separate.  A
-    second thread counts the degenerate triangles in blocks of
-    ``_CHUNK // 8``, while the calling thread encodes each edge use as
-    ``(lo*nv + hi) << 1 | (runs lo -> hi)`` in ``_CHUNK`` blocks; a single
-    sort then groups the uses of each undirected edge into one run.  Beside
-    its 8-byte key, an edge use costs a byte of direction and a byte of run
-    flag.  Per edge, the use count and the net direction are 4-byte integers
-    while ``3 * nt < 2**31``, and 8-byte above.
+    proximity), so overlapping-but-unwelded components stay separate.  Each
+    edge use is encoded as ``(lo*nv + hi) << 1 | (runs lo -> hi)``, the first
+    half of the triangles on the calling thread and the second half on a
+    second thread, each in blocks of ``_CHUNK // 2``.  The second thread then
+    counts the degenerate triangles in blocks of ``_CHUNK // 8``, while a
+    single sort on the calling thread groups the uses of each undirected edge
+    into one run.  Beside its 8-byte key, an edge use costs a byte of
+    direction and a byte of run flag.  Per edge, the use count and the net direction are 4-byte integers
+    while ``3 * nt < 2**31``, and 8-byte above; only a one-byte grade of the
+    edge outlives them, through the component search.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
 
@@ -396,10 +433,14 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     nv = len(mesh.vertices)
     nt = len(tris)
 
+    keys = np.empty((nt, 3), dtype=np.int64)
+    half = nt // 2
     with ThreadPoolExecutor(1) as pool:
-        degenerate = pool.submit(_count_degenerate, mesh.vertices, tris)
-
-        keys = _edge_keys(tris, nv)
+        filled = pool.submit(_edge_keys, tris[half:], nv, keys[half:])
+        degenerate = pool.submit(_count_degenerate, mesh.vertices, tris)  # runs after the fill
+        _edge_keys(tris[:half], nv, keys[:half])
+        filled.result()
+        keys = keys.reshape(-1)
         keys.sort()
         keys = keys[np.searchsorted(keys, 0) :]
         forward = np.bitwise_and(keys, 1, out=np.empty(len(keys), dtype=np.int8))
@@ -423,9 +464,11 @@ def validate(mesh: TriangleMesh) -> MeshReport:
         del forward, starts
         net *= 2
         net -= count
-        balanced = net == 0
-        manifold = (count == 2) & balanced
-        boundary = count == 1
+        # one byte per edge, held through connected_components: 0 manifold,
+        # 1 balanced but not manifold, 2 unbalanced, 3 boundary (count 1)
+        grade = (count != 2).view(np.uint8)
+        grade[net != 0] = 2
+        grade[count == 1] = 3
         del net, count
 
         # ukeys is sorted, so the edges from vertex r, those with lo == r, are
@@ -448,9 +491,9 @@ def validate(mesh: TriangleMesh) -> MeshReport:
         v_per = np.bincount(remap[labels[referenced]], minlength=ncomp)
         e_per = np.bincount(edge_comp, minlength=ncomp)
         f_per = np.bincount(remap[labels[tris[:, 0]]], minlength=ncomp)
-        unbalanced_per = np.bincount(edge_comp[~balanced], minlength=ncomp)
-        nonmanifold_per = np.bincount(edge_comp[~manifold], minlength=ncomp)
-        boundary_per = np.bincount(edge_comp[boundary], minlength=ncomp)
+        unbalanced_per = np.bincount(edge_comp[grade >= 2], minlength=ncomp)
+        nonmanifold_per = np.bincount(edge_comp[grade >= 1], minlength=ncomp)
+        boundary_per = np.bincount(edge_comp[grade == 3], minlength=ncomp)
         bbox = (mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)) if nt else np.zeros((2, 3))
 
         return MeshReport(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from identispace import cli
+from identispace import cli, mesh_io
 from identispace.cli import CONFIG_ENV_VAR, RunConfig, load_config_file, main, resolve_config
 from identispace.geom import SurfaceKind, SurfaceParams
 from identispace.mesh_io import TriangleMesh, write_stl
@@ -309,6 +309,17 @@ def test_validate_malformed_ascii_reports_the_ascii_error(tmp_path, capsys, vert
     assert text == ""
     assert err.startswith(f"error: {reason}")
     assert "length mismatch" not in err and "Traceback" not in err
+
+
+def test_validate_past_the_vertex_index_exits_2(tmp_path, capsys, monkeypatch):
+    # the open tetrahedron has 4 distinct vertices; a limit of 4 stands in for 2**31
+    path = tmp_path / "open.stl"
+    path.write_bytes(open_tetra_stl())
+    monkeypatch.setattr(mesh_io, "_VERTEX_LIMIT", 4)
+    code, text, err = run(["validate", str(path)], capsys)
+    assert code == 2
+    assert text == ""
+    assert err == "error: STL has more than 3 distinct vertices, past the int32 vertex index\n"
 
 
 def test_validate_missing_file(capsys):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import struct
 import sys
 import threading
@@ -19,7 +20,12 @@ from identispace.mesh_io import (
     validate,
     write_stl,
 )
-from identispace.wireframe import WireframeSpec, plan_segments, tessellate_segments
+from identispace.wireframe import (
+    WireframeSpec,
+    build_wireframe,
+    plan_segments,
+    tessellate_segments,
+)
 
 from oracles import ascii_corners_per_line, ascii_stl_per_facet, mesh_report_oracle
 from test_wireframe import one_capsule
@@ -411,6 +417,90 @@ def test_concurrent_reads_weld_alike(monkeypatch):
         assert_welds_to_unique_rows(back, soup)
 
 
+# few distinct words, so equal x|y words meet different z words in scrambled order;
+# 0x80000000 is the sign bit (x = -0.0), and z takes both ends of its range
+X_WORDS = st.sampled_from([0, 1, 0x80000000, 0xFFFFFFFF])
+Y_WORDS = st.sampled_from([0, 7])
+Z_WORDS = st.sampled_from([0, 1, 2, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF])
+
+
+@st.composite
+def row_parts(draw):
+    """(n,3) uint32 rows from small alphabets, cut into 1 to 4 parts."""
+    rows = draw(st.lists(st.tuples(X_WORDS, Y_WORDS, Z_WORDS), max_size=40))
+    rows = np.array(rows, dtype=np.uint32).reshape(-1, 3)
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    return [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+
+
+def uint32_rows(*rows) -> list:
+    return [np.array(rows, dtype=np.uint32).reshape(-1, 3)]
+
+
+@pytest.mark.parametrize("chunk", [1, mesh_io._CHUNK])
+@settings(max_examples=150)
+@given(parts=row_parts())
+@example(parts=uint32_rows())
+@example(parts=uint32_rows((0x80000000, 3, 0xFFFFFFFF)))
+@example(parts=uint32_rows((5, 5, 0xFFFFFFFF), (5, 5, 0), (0x80000000, 0, 1), (5, 5, 0xFFFFFFFF),
+                           (5, 5, 0), (1, 0, 0)))
+def test_unique_rows_match_np_unique(chunk, parts):
+    # _CHUNK = 1 sends the z gather and the order[sub] pass through 3-row steps
+    rows = np.concatenate([np.zeros((0, 3), np.uint32), *parts])
+    expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = np.full(len(rows), -1, dtype=np.int32)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+        got = mesh_io._unique_rows(parts, inverse)
+    assert parts == []
+    assert got.dtype == np.uint32 and np.array_equal(got, expected)  # in (x, y, z) order
+    assert np.array_equal(inverse, expected_inverse.ravel())
+
+
+@pytest.mark.parametrize("chunk", [2, mesh_io._CHUNK])
+@pytest.mark.parametrize("limit", [5, 6, 7])
+def test_vertex_limit_fails_cleanly(monkeypatch, chunk, limit):
+    # 6 distinct vertices in 5 runs of equal x|y: in one block a limit of 5 stops
+    # at the run count, 6 at the vertex count, and 7 lets the weld through; in
+    # blocks of 2 triangles, 5 trips in blocks on both threads and 6 only in the
+    # sort of the block-unique rows
+    soup = shared_vertex_soup()
+    data = bytes(write_stl(TriangleMesh(soup, np.arange(len(soup), dtype=np.int32))))
+    monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+    monkeypatch.setattr(mesh_io, "_VERTEX_LIMIT", limit)
+    if limit == 7:
+        assert_welds_to_unique_rows(read_stl(data), soup)
+        return
+    with pytest.raises(StlError, match=f"more than {limit - 1} distinct vertices"):
+        read_stl(data)
+
+
+# SHA-256 of the welded vertices and triangles of a binary file per surface;
+# they pin the vertex order and the vertex ids byte for byte
+WELD_PINS = [
+    (SurfaceKind.TORUS, (6, 12), 6, False,
+     "d7212a1d2deefd8827f319fe7d86ca85cbe064b5fec8ecc0dc63f3bd093bc68e",
+     "5a1855dd34c7c7eb47f97ab340d49aa466abec945e6acb87c35488472fe0cce4"),
+    (SurfaceKind.KLEIN, (6, 8), 8, True,
+     "083d788f2700ea387ddbb0cd93cf10032f1f8a9462c6aad920bb61f4d7203039",
+     "63e93b70fd3388a8c5093ef2e57dac66538b8b844a2c4750492f6017419c0547"),
+    (SurfaceKind.ROMAN, (16, 32), 6, False,
+     "42bd0da6840d1cc32a9e006ac50b4fcce649901f704e3199203635700c11db02",
+     "278559e2aa3ae6e415c2f74b08dcced7af075348a209461cab3b9d18b0eecca6"),
+]
+
+
+@pytest.mark.parametrize("kind, grid, res, legacy, vertices_sha, triangles_sha", WELD_PINS,
+                         ids=[pin[0].value for pin in WELD_PINS])
+def test_weld_output_is_pinned(kind, grid, res, legacy, vertices_sha, triangles_sha):
+    surface = SurfaceParams(kind, lat_ribs=grid[0], long_ribs=grid[1])
+    spec = WireframeSpec(surface, outer_density=2, inner_density=2, thickness=1.2,
+                         capsule_resolution=res)
+    back = read_stl(bytes(write_stl(build_wireframe(spec, legacy))))
+    assert hashlib.sha256(back.vertices.tobytes()).hexdigest() == vertices_sha
+    assert hashlib.sha256(back.triangles.tobytes()).hexdigest() == triangles_sha
+
+
 # --- validate ----------------------------------------------------------------
 
 
@@ -588,10 +678,48 @@ def test_validate_counts_wide_edge_runs_exactly(monkeypatch, closed):
     assert expected["watertight_per_component"] == [closed]
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("nt", [0, 1, 2, 3, 4])
+def test_validate_splits_edge_keys_between_threads(monkeypatch, chunk, nt):
+    # the first nt tetrahedron faces; from nt = 2 on, edge (0, 1) has one use in
+    # each half, and nt = 4 closes the surface
+    mesh = TriangleMesh(tetrahedron().vertices, tetrahedron().triangles[:nt])
+    fill, calls = mesh_io._edge_keys, []
+
+    def recorded(tris, nv, keys):
+        calls.append((threading.current_thread() is threading.main_thread(), len(tris)))
+        fill(tris, nv, keys)
+
+    monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+    monkeypatch.setattr(mesh_io, "_edge_keys", recorded)
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    assert report_fields(validate(mesh)) == expected
+    assert sorted(calls) == [(False, nt - nt // 2), (True, nt // 2)]
+
+
+def test_concurrent_validates_agree(monkeypatch):
+    # four callers with a validate worker each: more threads than cores, switching often
+    rng = np.random.default_rng(7)
+    vertices = rng.integers(-3, 4, size=(40, 3)).astype(float)
+    mesh = TriangleMesh(vertices, rng.integers(0, len(vertices), size=(600, 3), dtype=np.int32))
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    monkeypatch.setattr(mesh_io, "_CHUNK", 64)  # blocks of 32 key triangles, 8 area triangles
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            reports = list(callers.map(lambda _: report_fields(validate(mesh)), range(8),
+                                       timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [expected] * 8
+
+
 def test_worker_thread_failure_reaches_caller(monkeypatch):
     mesh = one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, 6)
     data = bytes(write_stl(mesh))
     fill, dedup = mesh_io._fill_records, mesh_io._dedup_blocks
+    count, edge_keys = mesh_io._count_degenerate, mesh_io._edge_keys
 
     def fill_on_caller_only(records, *args):
         if threading.current_thread() is not threading.main_thread():
@@ -600,6 +728,11 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
 
     def count_fails(*args):
         raise MemoryError("injected on the worker")
+
+    def edge_keys_on_caller_only(tris, nv, keys):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("injected in the worker's edge keys")
+        edge_keys(tris, nv, keys)
 
     def dedup_on_caller_only(bits, inverse):
         if threading.current_thread() is not threading.main_thread():
@@ -614,6 +747,11 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
         assert threading.active_count() == threads
     monkeypatch.setattr(mesh_io, "_count_degenerate", count_fails)
     with pytest.raises(MemoryError, match="worker"):
+        validate(mesh)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(mesh_io, "_count_degenerate", count)
+    monkeypatch.setattr(mesh_io, "_edge_keys", edge_keys_on_caller_only)
+    with pytest.raises(MemoryError, match="worker's edge keys"):
         validate(mesh)
     assert threading.active_count() == threads
     monkeypatch.setattr(mesh_io, "_dedup_blocks", dedup_on_caller_only)
