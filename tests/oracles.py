@@ -207,6 +207,25 @@ def mesh_edge_uses(triangles) -> dict[frozenset, list[tuple[int, int]]]:
     return uses
 
 
+def union_find(vertices, pairs) -> dict:
+    """Each of ``vertices`` mapped to one representative of its class.
+
+    The classes are those of the equivalence relation that the ``pairs`` of
+    vertices generate, found one pair at a time by a dict union-find.
+    """
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return {v: find(v) for v in parent}
+
+
 def mesh_report_oracle(vertices, triangles, degenerate_area: float) -> dict:
     """Every ``MeshReport`` field, from Python loops over triangles and edge uses.
 
@@ -231,31 +250,20 @@ def mesh_report_oracle(vertices, triangles, degenerate_area: float) -> dict:
             degenerate_count=0,
         )
 
-    parent = {v: v for t in triangles for v in t}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b, c in triangles:
-        for x in (b, c):
-            ra, rx = find(a), find(x)
-            if ra != rx:
-                parent[max(ra, rx)] = min(ra, rx)
+    root = union_find({v for t in triangles for v in t},
+                      [(a, x) for a, b, c in triangles for x in (b, c)])
     smallest: dict[int, int] = {}  # root -> smallest member, filled in index order
-    for v in sorted(parent):
-        smallest.setdefault(find(v), v)
+    for v in sorted(root):
+        smallest.setdefault(root[v], v)
     comp = {r: k for k, r in enumerate(smallest)}
     ncomp = len(comp)
 
     verts = [0] * ncomp
-    for v in parent:
-        verts[comp[find(v)]] += 1
+    for v in root:
+        verts[comp[root[v]]] += 1
     faces = [0] * ncomp
     for t in triangles:
-        faces[comp[find(t[0])]] += 1
+        faces[comp[root[t[0]]]] += 1
     edges = [0] * ncomp
     unbalanced = [0] * ncomp
     nonmanifold = [0] * ncomp
@@ -263,7 +271,7 @@ def mesh_report_oracle(vertices, triangles, degenerate_area: float) -> dict:
     for key, uses in mesh_edge_uses(triangles).items():
         if len(key) == 1:
             continue  # collapsed edge
-        k = comp[find(next(iter(key)))]
+        k = comp[root[next(iter(key))]]
         lo = min(key)
         forward = sum(1 for a, _ in uses if a == lo)
         balanced = 2 * forward == len(uses)

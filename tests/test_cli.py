@@ -556,10 +556,15 @@ def test_run_config_defaults_are_the_library_defaults():
 
 
 def test_import_leaves_scipy_unloaded():
-    # only validate needs scipy, so homology and sample do not pay for its import; the
-    # thread pool of validate and write_stl is imported by them alone too
-    code = ("import sys, identispace.cli; "
-            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
+    # no command imports scipy, not even the print round trip of write, read and
+    # validate; the thread pool of validate, read_stl and write_stl is imported by
+    # them alone, so homology and sample do not pay for it
+    code = ("import sys, numpy as np, identispace.cli; "
+            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules); "
+            "from identispace.mesh_io import TriangleMesh, read_stl, validate, write_stl; "
+            "mesh = TriangleMesh(np.eye(4, 3), [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]); "
+            "report = validate(read_stl(bytes(write_stl(mesh)))); "
+            "print(report.component_count, report.all_watertight, 'scipy' in sys.modules)")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=python_path(ROOT / "src"),
@@ -567,7 +572,7 @@ def test_import_leaves_scipy_unloaded():
         text=True,
         timeout=120,
     )
-    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False False\n1 True False\n"), proc.stderr
 
 
 def load_benchmark():

@@ -27,7 +27,7 @@ from identispace.wireframe import (
     tessellate_segments,
 )
 
-from oracles import ascii_corners_per_line, ascii_stl_per_facet, mesh_report_oracle
+from oracles import ascii_corners_per_line, ascii_stl_per_facet, mesh_report_oracle, union_find
 from test_wireframe import one_capsule
 
 
@@ -652,6 +652,51 @@ def test_validate_small_blocks_match_oracle(monkeypatch, mesh):
     assert report_fields(validate(mesh)) == expected
 
 
+@st.composite
+def vertex_graphs(draw):
+    """Up to 12 vertices (none allowed) and up to 20 edges ``lo < hi``, repeats
+    allowed, among a drawn subset of them, so some vertices are in no edge."""
+    nv = draw(st.integers(min_value=0, max_value=12))
+    ends = draw(st.lists(st.integers(min_value=0, max_value=nv - 1), unique=True)) if nv else []
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ends), st.sampled_from(ends)),
+                          max_size=20)) if ends else []
+    return nv, [(min(p), max(p)) for p in pairs if p[0] != p[1]]
+
+
+@given(vertex_graphs())
+@example((0, []))
+@example((3, []))
+@example((6, [(4, 5), (1, 5), (1, 3), (0, 3), (2, 4)]))  # a path 0-3-1-5-4-2 and nothing else
+def test_components_match_union_find(graph):
+    nv, edges = graph
+    lo, hi = np.array(edges, dtype=np.int32).reshape(-1, 2).T.copy()
+    labels = mesh_io._components(lo, hi, nv)
+    root = union_find(range(nv), edges)
+    members: dict[int, list] = {}
+    for v in range(nv):
+        members.setdefault(root[v], []).append(v)
+    assert labels.dtype == np.int32
+    assert labels.tolist() == [min(members[root[v]]) for v in range(nv)]
+
+
+def test_components_of_a_random_order_path_take_few_rounds(monkeypatch):
+    # 2**20 vertices joined in a random order into one path; the search makes one
+    # _roots call per round, and takes 13 or 14 rounds on such paths (at most nv)
+    nv = 1 << 20
+    path = np.random.default_rng(16).permutation(nv).astype(np.int32)
+    lo, hi = np.minimum(path[:-1], path[1:]), np.maximum(path[:-1], path[1:])
+    roots, rounds = mesh_io._roots, []
+
+    def counted(parent):
+        rounds.append(len(parent))
+        return roots(parent)
+
+    monkeypatch.setattr(mesh_io, "_roots", counted)
+    labels = mesh_io._components(lo, hi, nv)
+    assert labels.dtype == np.int32 and not labels.any()
+    assert 1 < len(rounds) <= 20
+
+
 def wide_edge_mesh(closed: bool) -> TriangleMesh:
     """300 triangles on the edge (0, 1), in both orientations.
 
@@ -779,7 +824,7 @@ def torus_6x12():
     spec = WireframeSpec(SurfaceParams(SurfaceKind.TORUS, lat_ribs=6, long_ribs=12), 4, 4)
     mesh = tessellate_segments(plan_segments(spec), spec.capsule_resolution)
     assert mesh.triangle_count == TORUS_6X12_TRIANGLES
-    validate(tetrahedron())  # scipy's first import would count toward the first peak
+    validate(tetrahedron())  # the thread pool's first import would count toward the first peak
     return mesh
 
 
