@@ -3,7 +3,9 @@
 Option values resolve in three layers: built-in defaults, then a config file
 (flat ``key = value`` lines using the flag names, ``#`` comments), then
 explicit command-line flags.  The config path comes from ``--config`` or the
-``IDENTISPACE_CONFIG`` environment variable.
+``IDENTISPACE_CONFIG`` environment variable.  The built-in defaults of the
+geometry options are the ``SurfaceParams`` and ``WireframeSpec`` defaults, and a
+new option is one ``_OPTIONS`` entry.
 
 Exit codes: 0 success, 1 validation failed (output still written), 2 invalid
 arguments or unreadable input.
@@ -15,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,9 +37,10 @@ from .wireframe import (
 CONFIG_ENV_VAR = "IDENTISPACE_CONFIG"
 
 # Every option, declared once: its argparse settings type a flag and the same
-# settings type a config-file value.  ``config`` is a flag only.
+# settings type a config-file value.  ``config`` is a flag only.  ``dest`` names
+# the SurfaceParams or WireframeSpec field an option sets where the names differ.
 _OPTIONS: dict[str, dict] = {
-    "surface": {"choices": [k.value for k in SurfaceKind]},
+    "surface": {"choices": [k.value for k in SurfaceKind], "dest": "kind"},
     "outer-radius": {"type": float, "metavar": "MM"},
     "inner-radius": {"type": float, "metavar": "MM"},
     "lat-ribs": {"type": int, "metavar": "N"},
@@ -47,7 +50,7 @@ _OPTIONS: dict[str, dict] = {
     "outer-density": {"type": int, "metavar": "N"},
     "inner-density": {"type": int, "metavar": "N"},
     "thickness": {"type": float, "metavar": "MM"},
-    "resolution": {"type": int, "metavar": "N"},
+    "resolution": {"type": int, "metavar": "N", "dest": "capsule_resolution"},
     "legacy-overshoot": {"action": "store_true"},
     "output": {"metavar": "PATH"},
     "ascii": {"action": "store_true"},
@@ -61,53 +64,11 @@ _GENERATE_FLAGS = (*_SURFACE_FLAGS, "outer-density", "inner-density", "thickness
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
-_DEFAULT_SPEC = WireframeSpec(SurfaceParams(SurfaceKind.TORUS))
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = 2):
         super().__init__(message)
         self.code = code
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved option set for one invocation."""
-
-    surface: str = _DEFAULT_SPEC.surface.kind.value
-    outer_radius: float = _DEFAULT_SPEC.surface.outer_radius
-    inner_radius: float = _DEFAULT_SPEC.surface.inner_radius
-    lat_ribs: int = _DEFAULT_SPEC.surface.lat_ribs
-    long_ribs: int = _DEFAULT_SPEC.surface.long_ribs
-    outer_density: int = _DEFAULT_SPEC.outer_density
-    inner_density: int = _DEFAULT_SPEC.inner_density
-    thickness: float = _DEFAULT_SPEC.thickness
-    amplitude: float = _DEFAULT_SPEC.surface.amplitude
-    resolution: int = _DEFAULT_SPEC.capsule_resolution
-    output: str | None = None
-    ascii: bool = False
-    legacy_overshoot: bool = False
-    space: str = "sphere"
-    dim: int | None = None
-
-    def surface_params(self) -> SurfaceParams:
-        return SurfaceParams(
-            kind=SurfaceKind(self.surface),
-            outer_radius=self.outer_radius,
-            inner_radius=self.inner_radius,
-            lat_ribs=self.lat_ribs,
-            long_ribs=self.long_ribs,
-            amplitude=self.amplitude,
-        )
-
-    def wireframe_spec(self) -> WireframeSpec:
-        return WireframeSpec(
-            surface=self.surface_params(),
-            outer_density=self.outer_density,
-            inner_density=self.inner_density,
-            thickness=self.thickness,
-            capsule_resolution=self.resolution,
-        )
 
 
 def _parse_config_value(key: str, raw: str):
@@ -148,18 +109,34 @@ def load_config_file(path: str) -> dict[str, object]:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overlaid by config file, overlaid by explicit flags."""
-    cfg = RunConfig()
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill the options left unset (``None``) from the config file, if any."""
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path:
+        given = vars(args)
         for key, value in load_config_file(path).items():
-            setattr(cfg, key.replace("-", "_"), value)
-    for field in fields(RunConfig):
-        given = getattr(args, field.name, None)
-        if given is not None:
-            setattr(cfg, field.name, given)
-    return cfg
+            dest = _OPTIONS[key].get("dest", key.replace("-", "_"))
+            if dest in given and given[dest] is None:  # other subcommands' keys are ignored
+                given[dest] = value
+    return args
+
+
+def _from_args(cls, args: argparse.Namespace, **fixed):
+    """``cls`` from ``fixed`` and the options set in ``args``; the rest keep their defaults."""
+    given = vars(args)
+    options = {f.name: given[f.name] for f in fields(cls) if given.get(f.name) is not None}
+    try:
+        return cls(**(options | fixed))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def surface_params(args: argparse.Namespace) -> SurfaceParams:
+    return _from_args(SurfaceParams, args, kind=SurfaceKind(args.kind or SurfaceKind.TORUS))
+
+
+def wireframe_spec(args: argparse.Namespace) -> WireframeSpec:
+    return _from_args(WireframeSpec, args, surface=surface_params(args))
 
 
 def _add_flags(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
@@ -196,12 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    try:
-        spec = cfg.wireframe_spec()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    legacy = bool(cfg.legacy_overshoot)
+    spec = wireframe_spec(resolve_config(args))
+    legacy = bool(args.legacy_overshoot)
     res = spec.capsule_resolution
     # a sphere strut has the fewest triangles, so this bounds the count from
     # below before the plan is built
@@ -214,7 +187,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         segments = plan_segments(spec, legacy)
     if not (np.isfinite(segments.a).all() and np.isfinite(segments.b).all()):
-        raise CliError(f"the {cfg.surface} surface is not finite on this grid")
+        raise CliError(f"the {spec.surface.kind.value} surface is not finite on this grid")
     reach = max(np.abs(segments.a).max(), np.abs(segments.b).max()) + spec.thickness
     if reach > np.finfo(np.float32).max:  # capsule vertices lie within thickness of an end
         raise CliError("the model reaches past the float32 range of STL coordinates")
@@ -222,12 +195,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     triangles = (len(segments) - spheres) * capsule_counts(res)[1] + spheres * sphere_counts(res)[1]
     if triangles >= STL_TRIANGLE_LIMIT:
         raise CliError(f"{triangles} triangles exceed the 32-bit STL limit")
-    out_path = cfg.output or f"{cfg.surface}.stl"
+    out_path = f"{spec.surface.kind.value}.stl" if args.output is None else args.output
     try:
         with open(out_path, "wb") as fh:  # opened first: an unwritable path fails fast
             mesh = tessellate_segments(segments, res)
             report = validate(mesh)
-            data = write_stl(mesh, "ascii" if cfg.ascii else "binary")
+            data = write_stl(mesh, "ascii" if args.ascii else "binary")
             fh.write(data)
     except OSError as exc:
         raise CliError(f"cannot write {out_path}: {exc}") from exc
@@ -262,26 +235,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    space = SpaceName(cfg.space)
+    resolve_config(args)
+    space = SpaceName(args.space or SpaceName.SPHERE)
     complex_ = builtin_complex(space)
-    if cfg.dim is not None and not 0 <= cfg.dim <= complex_.dimension:
-        raise CliError(f"--dim {cfg.dim} outside 0..{complex_.dimension} for {space.value}")
-    degrees = [cfg.dim] if cfg.dim is not None else range(complex_.dimension + 1)
+    if args.dim is not None and not 0 <= args.dim <= complex_.dimension:
+        raise CliError(f"--dim {args.dim} outside 0..{complex_.dimension} for {space.value}")
+    degrees = [args.dim] if args.dim is not None else range(complex_.dimension + 1)
     for k in degrees:
         print(f"H_{k}({space.value}) = {format_group(homology(complex_, k))}")
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+    resolve_config(args)
     if not (math.isfinite(args.i) and math.isfinite(args.j)):
         raise CliError(f"i and j must be finite, got {args.i} {args.j}")
+    params = surface_params(args)
     try:
-        pt = surface_point(args.i, args.j, cfg.surface_params())
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if not all(math.isfinite(c) for c in pt):
+        pt = surface_point(args.i, args.j, params)
+    except ValueError:  # the angle i * 360 / lat_ribs overflowed
+        pt = None
+    if pt is None or not all(math.isfinite(c) for c in pt):
         raise CliError(f"point at ({args.i}, {args.j}) is not finite")
     print("%g %g %g" % (pt.x, pt.y, pt.z))
     return 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from identispace import cli, mesh_io
-from identispace.cli import CONFIG_ENV_VAR, RunConfig, load_config_file, main, resolve_config
+from identispace.cli import CONFIG_ENV_VAR, load_config_file, main, resolve_config
 from identispace.geom import SurfaceKind, SurfaceParams
 from identispace.mesh_io import TriangleMesh, write_stl
 from identispace.wireframe import WireframeSpec, capsule_counts, sphere_counts
@@ -178,6 +178,23 @@ def test_generate_unwritable_output_fails_before_building(tmp_path, capsys, monk
     assert err.startswith(f"error: cannot write {out}:")
     assert text == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_generate_empty_output_path_fails_before_building(tmp_path, capsys, monkeypatch, how):
+    # "" is a path like any other, not an unset --output that falls back to torus.stl
+    monkeypatch.setattr(cli, "tessellate_segments", fail_if_called("tessellate_segments"))
+    monkeypatch.chdir(tmp_path)
+    if how == "flag":
+        argv = ["generate", *SMALL, "--output", ""]
+    else:
+        (tmp_path / "run.cfg").write_text("output =\n")
+        argv = ["generate", *SMALL, "--config", "run.cfg"]
+    code, text, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: cannot write :")
+    assert text == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if how == "config" else [])
 
 
 def test_generate_non_finite_surface_rejected(tmp_path, capsys):
@@ -373,6 +390,23 @@ def test_sample_outputs(capsys):
     assert run(["sample", "--surface", "klein", "0", "0"], capsys)[1].strip() == "30 2.5 0"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # i and j are finite; the angle i * 360 / lat_ribs is not
+        (["--surface", "roman", "1e308", "0"], "point at (1e+308, 0.0) is not finite"),
+        (["--", "-1e308", "0"], "point at (-1e+308, 0.0) is not finite"),
+        # the surface is checked first and keeps its own message
+        (["--outer-radius", "inf", "1e308", "0"], "outer_radius must be finite, got inf"),
+    ],
+)
+def test_sample_angle_overflow_reports_the_point(capsys, argv, message):
+    code, text, err = run(["sample", *argv], capsys)
+    assert code == 2
+    assert text == ""
+    assert err == f"error: {message}\n"
+
+
 # --- argument handling -------------------------------------------------------
 
 
@@ -414,15 +448,18 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 def test_flag_precedence_three_layers(tmp_path, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("thickness = 2.0\nlat-ribs = 6\n")
-    import argparse
-
-    ns = argparse.Namespace(config=str(cfg_path), thickness=3.0)
-    cfg = resolve_config(ns)
-    assert cfg.thickness == 3.0  # flag beats config
-    assert cfg.lat_ribs == 6  # config beats default
-    assert cfg.long_ribs == RunConfig().long_ribs  # default survives
+    args = cli.build_parser().parse_args(
+        ["generate", "--config", str(cfg_path), "--thickness", "3"]
+    )
+    spec = cli.wireframe_spec(resolve_config(args))
+    assert spec.thickness == 3.0  # flag beats config
+    assert spec.surface.lat_ribs == 6  # config beats default
+    default = WireframeSpec(SurfaceParams(SurfaceKind.TORUS))
+    assert spec.surface.long_ribs == default.surface.long_ribs  # default survives
+    assert args.long_ribs is None  # the default is the library's, not a copy
 
 
 def test_config_env_var(tmp_path, monkeypatch, capsys):
@@ -523,15 +560,23 @@ def test_config_keys_cover_every_option():
     assert set(CONFIG_KEYS) == set(cli._OPTIONS) - {"config"}
 
 
+def resolved(argv) -> dict:
+    """The options of ``argv`` after the config layer, without ``--config`` itself."""
+    options = vars(resolve_config(cli.build_parser().parse_args(argv)))
+    del options["config"]
+    return options
+
+
 @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
-def test_config_line_and_flag_resolve_alike(tmp_path, key):
+def test_config_line_and_flag_resolve_alike(tmp_path, monkeypatch, key):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     command, good, _ = CONFIG_KEYS[key]
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"{key} = {good}\n")
-    from_file = resolve_config(cli.build_parser().parse_args([command, "--config", str(cfg_path)]))
+    from_file = resolved([command, "--config", str(cfg_path)])
     flag = [f"--{key}"] if good == "true" else [f"--{key}", good]
-    from_flag = resolve_config(cli.build_parser().parse_args([command, *flag]))
-    assert from_file == from_flag != RunConfig()
+    from_flag = resolved([command, *flag])
+    assert from_file == from_flag != resolved([command])
 
 
 @pytest.mark.parametrize("key", sorted(k for k, case in CONFIG_KEYS.items() if case[2]))
@@ -548,8 +593,50 @@ def test_bad_config_value_and_bad_flag_exit_2(tmp_path, capsys, key):
     assert exc.value.code == 2
 
 
-def test_run_config_defaults_are_the_library_defaults():
-    assert RunConfig().wireframe_spec() == WireframeSpec(SurfaceParams(SurfaceKind.TORUS))
+class Planned(Exception):
+    """Stops ``generate`` at its first layer call."""
+
+
+def test_generate_defaults_are_the_library_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def plan(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise Planned
+
+    monkeypatch.setattr(cli, "plan_segments", plan)
+    with pytest.raises(Planned):
+        main(["generate"])
+    assert calls == [((WireframeSpec(SurfaceParams(SurfaceKind.TORUS)), False), {})]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_config_file_serves_every_subcommand(tmp_path, capsys, monkeypatch):
+    # each subcommand takes its own keys from the file and ignores the others
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        "surface = klein\nlat-ribs = 6\noutput = cfg.stl\nspace = rp2\ndim = 1\n"
+    )
+    config = ["--config", "run.cfg"]
+    small = ["--long-ribs", "3", "--outer-density", "1", "--inner-density", "1",
+             "--resolution", "4"]
+    flags = ["--surface", "klein", "--lat-ribs", "6"]
+
+    by_file = run(["generate", *config, *small], capsys)
+    by_flag = run(["generate", *flags, *small, "--output", "flag.stl"], capsys)
+    assert by_file[0] == by_flag[0] == 0
+    assert by_file[1] == by_flag[1].replace("flag.stl", "cfg.stl")
+    assert (tmp_path / "cfg.stl").read_bytes() == (tmp_path / "flag.stl").read_bytes()
+
+    assert run(["homology", *config], capsys) == (0, "H_1(rp2) = Z/2\n", "")
+
+    by_file = run(["sample", *config, "1.5", "2"], capsys)
+    assert by_file == run(["sample", *flags, "1.5", "2"], capsys)
+    assert by_file[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.stl", "flag.stl", "run.cfg"]
 
 
 # --- process contract --------------------------------------------------------
