@@ -109,10 +109,17 @@ def load_config_file(path: str) -> dict[str, object]:
     return values
 
 
+def _config_path(args: argparse.Namespace) -> str | None:
+    """``--config`` if given (even empty), else a non-empty ``IDENTISPACE_CONFIG``, else None."""
+    if args.config is not None:
+        return args.config
+    return os.environ.get(CONFIG_ENV_VAR) or None
+
+
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill the options left unset (``None``) from the config file, if any."""
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
+    path = _config_path(args)
+    if path is not None:
         given = vars(args)
         for key, value in load_config_file(path).items():
             dest = _OPTIONS[key].get("dest", key.replace("-", "_"))
@@ -235,11 +242,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
+    dim_flag = args.dim is not None
     resolve_config(args)
     space = SpaceName(args.space or SpaceName.SPHERE)
     complex_ = builtin_complex(space)
     if args.dim is not None and not 0 <= args.dim <= complex_.dimension:
-        raise CliError(f"--dim {args.dim} outside 0..{complex_.dimension} for {space.value}")
+        source = "--dim" if dim_flag else f"{_config_path(args)}: dim"
+        raise CliError(f"{source} {args.dim} outside 0..{complex_.dimension} for {space.value}")
     degrees = [args.dim] if args.dim is not None else range(complex_.dimension + 1)
     for k in degrees:
         print(f"H_{k}({space.value}) = {format_group(homology(complex_, k))}")

@@ -146,12 +146,15 @@ def _unit_normals(corners: np.ndarray) -> np.ndarray:
     return cr
 
 
-def _fill_records(records: np.ndarray, v32: np.ndarray, triangles: np.ndarray) -> None:
-    """Fill the corners and unit normals of binary records, ``_CHUNK // 2`` at a time."""
+def _fill_records(records: np.ndarray, vertices: np.ndarray, triangles: np.ndarray) -> None:
+    """Fill the corners and unit normals of binary records, ``_CHUNK // 2`` at a time.
+
+    The float64 corners are rounded to float32 as they are stored.
+    """
     step = max(_CHUNK // 2, 1)
     for start in range(0, len(records), step):
         block = records[start : start + step]
-        block["corners"] = v32[triangles[start : start + step]]
+        block["corners"] = vertices[triangles[start : start + step]]
         block["normal"] = _unit_normals(block["corners"])
 
 
@@ -163,11 +166,13 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
     as float32, zero attribute); total length is exactly 84 + 50*n.  The
     records are filled in place inside the binary buffer, the first half on
     the calling thread and the second half on a second thread, each in blocks
-    of ``_CHUNK // 2`` triangles, so the file is never copied.  ASCII mode
-    formats those records ``_CHUNK`` at a time into one growing ``bytearray``,
-    emitting the float32-rounded coordinates with 9 significant digits so
-    both modes parse back to identical meshes.  A vertex that is not finite
-    once rounded to float32 raises ``ValueError``.
+    of ``_CHUNK // 2`` triangles, so the file is never copied.  The corners
+    are rounded to float32 block by block, so there is no float32 copy of
+    the vertices either.  ASCII mode formats those records ``_CHUNK`` at a
+    time into one growing ``bytearray``, emitting the float32-rounded
+    coordinates with 9 significant digits so both modes parse back to
+    identical meshes.  A vertex that is not finite once rounded to float32
+    raises ``ValueError``.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
 
@@ -177,10 +182,11 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
     if n >= STL_TRIANGLE_LIMIT:
         raise ValueError("triangle count exceeds the 32-bit STL limit")
     mesh.check_indices()
+    step = max(_CHUNK, 1)
     with np.errstate(over="ignore"):
-        v32 = mesh.vertices.astype("<f4")
-    if not np.isfinite(v32).all():
-        raise ValueError("a vertex is not finite in float32, the STL coordinate type")
+        for start in range(0, len(mesh.vertices), step):
+            if not np.isfinite(mesh.vertices[start : start + step].astype("<f4")).all():
+                raise ValueError("a vertex is not finite in float32, the STL coordinate type")
 
     binary = bytearray(84 + 50 * n)  # zeroed, so every attribute is 0
     binary[:80] = STL_HEADER_TAG.ljust(80, b"\0")
@@ -188,8 +194,8 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
     records = np.frombuffer(binary, _RECORD, count=n, offset=84)
     half = n // 2
     with ThreadPoolExecutor(1) as pool:
-        second = pool.submit(_fill_records, records[half:], v32, mesh.triangles[half:])
-        _fill_records(records[:half], v32, mesh.triangles[:half])
+        second = pool.submit(_fill_records, records[half:], mesh.vertices, mesh.triangles[half:])
+        _fill_records(records[:half], mesh.vertices, mesh.triangles[:half])
         second.result()
     if mode == "binary":
         return binary
@@ -285,6 +291,13 @@ def _dedup_blocks(bits: np.ndarray, inverse: np.ndarray) -> list:
     ]
 
 
+def _pivot(blocks: list) -> int:
+    """The median x word of a sample of about 4 096 rows of the (n,3) uint32 ``blocks``."""
+    stride = max(sum(len(rows) for rows in blocks) // 4096, 1)
+    sample = np.concatenate([np.empty(0, dtype=np.uint32), *(rows[::stride, 0] for rows in blocks)])
+    return int(np.partition(sample, len(sample) // 2)[len(sample) // 2]) if len(sample) else 0
+
+
 def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     """Index a (T,3,3) float32 coordinate soup, welding bit-identical vertices.
 
@@ -292,11 +305,16 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     A NaN or infinite coordinate raises ``StlError``.  ``tri_verts`` may be a
     strided view of the file's records; it is never copied whole.  Each block
     of ``_CHUNK`` triangles is deduplicated on its own, the first half of the
-    blocks on the calling thread and the rest on a second thread.  One sort
-    of the block-unique rows then ranks them into vertices; on a tessellated
-    mesh there is about half a row per corner, and on the default torus a
-    sixth.  The only array with an entry per corner is the 4-byte vertex
-    index, remapped in place block by block.
+    blocks on the calling thread and the rest on a second thread.  The
+    block-unique rows, about half a row per corner on a tessellated mesh and
+    a sixth on the default torus, are then ranked into vertices on both
+    threads: each block's rows are in (x, y, z) order, so a pivot x word (the
+    median of a sample) cuts every block into the rows below it and the rows
+    from it on.  The calling thread ranks the lower rows and the worker the
+    upper, and the upper ranks follow the lower ones, so the vertex order is
+    that of one global ranking whatever the pivot.  The only array with an
+    entry per corner is the 4-byte vertex index, remapped in place block by
+    block on the calling thread while the worker builds the float64 vertices.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
 
@@ -308,18 +326,42 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
         second = pool.submit(_dedup_blocks, bits[half:], inverse[3 * half :])
         blocks = _dedup_blocks(bits[:half], inverse[: 3 * half])
         blocks += second.result()
-    sizes = [len(rows) for rows in blocks]
-    rank = np.empty(sum(sizes), dtype=np.int32)
-    vertices = _unique_rows(blocks, rank).view("<f4")
+        pivot = _pivot(blocks)
+        cuts = [int(np.searchsorted(rows[:, 0], pivot)) for rows in blocks]
+        sizes = [len(rows) for rows in blocks]
+        lower = [rows[:cut] for rows, cut in zip(blocks, cuts)]
+        upper = [rows[cut:] for rows, cut in zip(blocks, cuts)]
+        del blocks
+        lower_rank = np.empty(sum(cuts), dtype=np.int32)
+        upper_rank = np.empty(sum(sizes) - sum(cuts), dtype=np.int32)
+        upper = pool.submit(_unique_rows, upper, upper_rank)
+        lower = _unique_rows(lower, lower_rank)
+        upper = upper.result()
+        _check_vertex_count(len(lower) + len(upper))
+        upper_rank += len(lower)
+        vertices = pool.submit(_vertex_array, [lower, upper])  # beside the remap
+        del lower, upper
+        at_lower = at_upper = 0
+        for block, (cut, size) in enumerate(zip(cuts, sizes)):
+            rank = np.concatenate([lower_rank[at_lower : at_lower + cut],
+                                   upper_rank[at_upper : at_upper + size - cut]])
+            corners = inverse[3 * step * block : 3 * step * (block + 1)]
+            corners[:] = rank[corners]
+            at_lower += cut
+            at_upper += size - cut
+        return TriangleMesh(vertices.result(), inverse.reshape(-1, 3))
+
+
+def _vertex_array(rows: list) -> np.ndarray:
+    """The float64 vertices of the uint32 float32-bit ``rows`` arrays in turn; the list is emptied.
+
+    A NaN or infinite coordinate raises ``StlError``.
+    """
+    vertices = np.concatenate([part.view("<f4") for part in rows], dtype=np.float64)
+    rows.clear()
     if not np.isfinite(vertices).all():
         raise StlError("STL has a non-finite vertex coordinate")
-
-    offset = 0
-    for block, size in enumerate(sizes):
-        corners = inverse[3 * step * block : 3 * step * (block + 1)]
-        corners[:] = rank[offset : offset + size][corners]
-        offset += size
-    return TriangleMesh(vertices.astype(np.float64), inverse.reshape(-1, 3))
+    return vertices
 
 
 def _parse_binary(data: bytes) -> np.ndarray:
@@ -357,10 +399,12 @@ def read_stl(data: bytes) -> TriangleMesh:
     Triangle order is preserved; vertices sort by their (x, y, z) float32 bit
     patterns read as uint32, so 1.0 < 2.0 < -0.0.  Beside ``data`` (and the
     corners ``_parse_ascii`` decodes from text), the weld holds 4 bytes per
-    corner plus the block-unique rows; its blocks run on two threads, and its
-    sorts are one-word ``np.argsort`` calls.  A file with ``_VERTEX_LIMIT``
-    (2**31) or more distinct vertices, past the int32 vertex index, raises
-    ``StlError``.
+    corner plus the block-unique rows.  Its blocks, and then the ranking of
+    their rows split at a pivot x word, run on two threads, and its sorts
+    are one-word ``np.argsort`` calls.  A file with ``_VERTEX_LIMIT`` (2**31)
+    or more distinct vertices, past the int32 vertex index, raises
+    ``StlError``, whether one side of the ranking or the two together reach
+    it.
     """
     if data.lstrip()[:5] != b"solid":
         return _weld(_parse_binary(data))
@@ -378,15 +422,34 @@ def _count_degenerate(vertices: np.ndarray, tris: np.ndarray) -> int:
     """Triangles of area at most ``DEGENERATE_AREA``, ``_CHUNK // 8`` at a time.
 
     The test is made in squared form, ``|cross|^2 <= (2*thr)^2``, in float64.
+    The corners are gathered a coordinate at a time from the columns of
+    ``vertices`` (views, not a transposed copy), and the cross product
+    ``a x b`` of the edges ``a = p1 - p0`` and ``b = p2 - p0`` is formed in
+    place with the IEEE operations of ``np.cross`` in its order, so the count
+    is exact: ``cx*cx + cy*cy + cz*cz`` is the sum ``np.cross`` would give.
     """
     sq_bound = (2.0 * DEGENERATE_AREA) ** 2
+    columns = vertices[:, 0], vertices[:, 1], vertices[:, 2]
     step = max(_CHUNK // 8, 1)
     count = 0
     for start in range(0, len(tris), step):
         t = tris[start : start + step]
-        p0 = vertices[t[:, 0]]
-        cr = np.cross(vertices[t[:, 1]] - p0, vertices[t[:, 2]] - p0)
-        count += int(((cr * cr).sum(axis=1) <= sq_bound).sum())
+        a, b = [], []
+        for column in columns:
+            p0 = column[t[:, 0]]
+            a.append(column[t[:, 1]] - p0)
+            b.append(column[t[:, 2]] - p0)
+        (ax, ay, az), (bx, by, bz) = a, b
+        cx = ay * bz
+        cx -= az * by
+        cy = az * bx
+        cy -= ax * bz
+        cz = ax * by
+        cz -= ay * bx
+        cx *= cx
+        cx += np.multiply(cy, cy, out=cy)
+        cx += np.multiply(cz, cz, out=cz)
+        count += int(np.count_nonzero(cx <= sq_bound))
     return count
 
 
@@ -449,22 +512,98 @@ def _components(lo: np.ndarray, hi: np.ndarray, nv: int) -> np.ndarray:
     return parent
 
 
+def _edge_runs(keys: np.ndarray, forward: np.ndarray, first: np.ndarray) -> list:
+    """The runs of one part of the sorted edge-use keys, cut at a run start.
+
+    Fills the int8 direction bit of each use into ``forward`` and the bool
+    run flags into ``first``, and shifts ``keys`` right in place.  Returns
+    ``[forward, starts, ukeys]``: the direction bits, the start of each
+    edge's run and the edge keys.
+    """
+    np.bitwise_and(keys, 1, out=forward)
+    keys >>= 1
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return [forward, starts, keys[starts]]
+
+
+def _grade_edges(runs: list, nv: int, lo: np.ndarray, hi: np.ndarray, grade: np.ndarray) -> None:
+    """Fill one part's ``lo`` and ``hi`` ends and one-byte ``grade`` from its ``_edge_runs``.
+
+    The list is emptied.  The use count and net direction of each edge exist
+    only for ``_CHUNK`` edges at a time.  Grades: 0 manifold, 1 balanced but
+    not manifold, 2 unbalanced, 3 boundary (count 1).
+    """
+    forward, starts, ukeys = runs
+    runs.clear()
+    for at in range(0, len(starts), _CHUNK):
+        run = starts[at : at + _CHUNK]
+        end = starts[at + _CHUNK] if at + _CHUNK < len(starts) else len(forward)
+        count = np.diff(run, append=end)
+        net = np.add.reduceat(forward[run[0] : end], run - run[0], dtype=np.int64)
+        net *= 2
+        net -= count
+        block = grade[at : at + _CHUNK]
+        np.not_equal(count, 2, out=block.view(bool))
+        block[net != 0] = 2
+        block[count == 1] = 3
+    del forward, starts
+    for at in range(0, len(ukeys), _CHUNK):  # in blocks: divmod makes two int64 arrays
+        lo[at : at + _CHUNK], hi[at : at + _CHUNK] = np.divmod(ukeys[at : at + _CHUNK], nv)
+
+
+def _extent(mesh: TriangleMesh, referenced: np.ndarray):
+    """The bounding box of the vertices (zeros without triangles); marks the vertices in use.
+
+    The indices are cast to intp ``_CHUNK`` triangles at a time.
+    """
+    step = max(_CHUNK, 1)
+    for at in range(0, mesh.triangle_count, step):
+        referenced[mesh.triangles[at : at + step].ravel()] = True
+    vertices = mesh.vertices
+    return (vertices.min(axis=0), vertices.max(axis=0)) if mesh.triangle_count else np.zeros((2, 3))
+
+
+def _vertex_face_counts(comp: np.ndarray, ncomp: int, tris: np.ndarray) -> tuple:
+    """Vertices and faces per component; ``comp`` is ``ncomp`` at unreferenced vertices.
+
+    A face counts toward the component of its first corner.  The counts are
+    added ``_CHUNK`` vertices and faces at a time, so no whole-mesh gather or
+    intp cast is made.
+    """
+    v_per = np.zeros(ncomp + 1, dtype=np.intp)
+    f_per = np.zeros(ncomp, dtype=np.intp)
+    step = max(_CHUNK, 1)
+    for at in range(0, max(len(comp), len(tris)), step):
+        np.add.at(v_per, comp[at : at + step], 1)
+        np.add.at(f_per, comp[tris[at : at + step, 0]], 1)
+    return v_per[:ncomp], f_per
+
+
 def validate(mesh: TriangleMesh) -> MeshReport:
     """Report connectivity, closedness and quality; never raises on bad geometry.
 
     Components are computed over shared vertex indices (not spatial
-    proximity), so overlapping-but-unwelded components stay separate.  Each
-    edge use is encoded as ``(lo*nv + hi) << 1 | (runs lo -> hi)``, the first
-    half of the triangles on the calling thread and the second half on a
-    second thread, each in blocks of ``_CHUNK // 2``.  The second thread then
-    counts the degenerate triangles in blocks of ``_CHUNK // 8``, while a
-    single sort on the calling thread groups the uses of each undirected edge
-    into one run.  Beside its 8-byte key, an edge use costs a byte of
-    direction and a byte of run flag.  Per edge, the use count and the net
-    direction are 4-byte integers while ``3 * nt < 2**31``, and 8-byte above;
-    only a one-byte grade of the edge outlives them.  The unique edges are
-    then split into int32 ``lo`` and ``hi`` ends, and ``_components`` labels
-    each vertex with the smallest vertex of its component, in numpy alone.
+    proximity), so overlapping-but-unwelded components stay separate.  The
+    work is shared between the calling thread and a one-worker pool:
+
+    * Each edge use is encoded as ``(lo*nv + hi) << 1 | (runs lo -> hi)``, a
+      half of the triangles on each thread in blocks of ``_CHUNK // 2``.
+    * The worker counts the degenerate triangles while one sort on the
+      calling thread groups the uses of each undirected edge into one run.
+    * The sorted keys are cut at the first use of the middle use's edge, and
+      each thread finds the runs of its part.  Beside its 8-byte key, an edge
+      use costs a byte of direction and a byte of run flag.
+    * Once every key is freed, each thread grades the edges of its part into
+      one byte each and splits them into int32 ``lo`` and ``hi`` ends, all
+      written at the part's offset in shared arrays.  The use count and net
+      direction of an edge exist only ``_CHUNK`` edges at a time.
+    * ``_components`` labels each vertex with the smallest vertex of its
+      component, in numpy alone, while the worker takes the bounding box and
+      marks the vertices in use.  Then the worker counts the vertices and
+      faces per component while the calling thread counts the edges.
+
     Components are numbered in the order of their smallest vertex, and each
     edge counts toward the component of its ``lo`` end.
     """
@@ -479,65 +618,52 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     half = nt // 2
     with ThreadPoolExecutor(1) as pool:
         filled = pool.submit(_edge_keys, tris[half:], nv, keys[half:])
-        degenerate = pool.submit(_count_degenerate, mesh.vertices, tris)  # runs after the fill
+        degenerate = pool.submit(_count_degenerate, mesh.vertices, tris)  # beside the sort
         _edge_keys(tris[:half], nv, keys[:half])
         filled.result()
         keys = keys.reshape(-1)
         keys.sort()
         keys = keys[np.searchsorted(keys, 0) :]
-        forward = np.bitwise_and(keys, 1, out=np.empty(len(keys), dtype=np.int8))
-        keys >>= 1
+        # the first use of the middle use's edge, so that no run is cut
+        mid = int(np.searchsorted(keys, keys[len(keys) // 2] & ~1)) if len(keys) else 0
+        # the per-use arrays are allocated on this thread and filled a part on each:
+        # glibc keeps resident whatever a worker thread's heap once held
+        forward = np.empty(len(keys), dtype=np.int8)
         first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        del first
-        ukeys = keys[starts]
-        uses = np.int32 if 3 * nt < 2**31 else np.int64  # wide enough for any count of uses
-        count = np.empty(len(starts), dtype=uses)
-        np.subtract(starts[1:], starts[:-1], out=count[:-1])
-        count[-1:] = len(keys) - starts[-1:]
-        del keys
-        net = np.empty(len(starts), dtype=uses)
-        for at in range(0, len(starts), _CHUNK):  # in blocks: reduceat casts its whole input
-            run = starts[at : at + _CHUNK]
-            end = starts[at + _CHUNK] if at + _CHUNK < len(starts) else len(forward)
-            net[at : at + _CHUNK] = np.add.reduceat(forward[run[0] : end], run - run[0], dtype=uses)
-        del forward, starts
-        net *= 2
-        net -= count
-        # one byte per edge, held through the component search: 0 manifold,
-        # 1 balanced but not manifold, 2 unbalanced, 3 boundary (count 1)
-        grade = (count != 2).view(np.uint8)
-        grade[net != 0] = 2
-        grade[count == 1] = 3
-        del net, count
+        upper = pool.submit(_edge_runs, keys[mid:], forward[mid:], first[mid:])
+        lower = _edge_runs(keys[:mid], forward[:mid], first[:mid])
+        upper = upper.result()
+        del keys, first, forward
+        split = len(lower[2])
+        edges = split + len(upper[2])
+        lo = np.empty(edges, dtype=np.int32)
+        hi = np.empty(edges, dtype=np.int32)
+        grade = np.empty(edges, dtype=np.uint8)
+        graded = pool.submit(_grade_edges, upper, nv, lo[split:], hi[split:], grade[split:])
+        _grade_edges(lower, nv, lo[:split], hi[:split], grade[:split])
+        graded.result()
 
-        lo = np.empty(len(ukeys), dtype=np.int32)
-        hi = np.empty(len(ukeys), dtype=np.int32)
-        for at in range(0, len(ukeys), _CHUNK):  # in blocks: divmod makes two int64 arrays
-            lo[at : at + _CHUNK], hi[at : at + _CHUNK] = np.divmod(ukeys[at : at + _CHUNK], nv)
-        del ukeys
+        referenced = np.zeros(nv, dtype=bool)
+        bbox = pool.submit(_extent, mesh, referenced)
         labels = _components(lo, hi, nv)
         del hi
-        referenced = np.zeros(nv, dtype=bool)
-        referenced[tris.ravel()] = True
+        bbox = bbox.result()
         # a label is its component's smallest vertex, so numbering the referenced
         # roots in index order keeps the components in the order of that vertex
         root = (labels == np.arange(nv, dtype=np.int32)) & referenced
         ncomp = int(np.count_nonzero(root))
-        comp = (np.cumsum(root, dtype=np.int32) - 1)[labels]  # each referenced vertex's component
-        del labels, root
+        number = np.cumsum(root, dtype=np.int32) - 1
+        number[~root] = ncomp  # an unreferenced vertex is its own label, and not a root
+        comp = number[labels]  # each vertex's component, ncomp if unreferenced
+        del labels, root, number
+        counted = pool.submit(_vertex_face_counts, comp, ncomp, tris)
         edge_comp = comp[lo]  # the component of each edge's lo end
         del lo
-
-        v_per = np.bincount(comp[referenced], minlength=ncomp)
         e_per = np.bincount(edge_comp, minlength=ncomp)
-        f_per = np.bincount(comp[tris[:, 0]], minlength=ncomp)
         unbalanced_per = np.bincount(edge_comp[grade >= 2], minlength=ncomp)
         nonmanifold_per = np.bincount(edge_comp[grade >= 1], minlength=ncomp)
         boundary_per = np.bincount(edge_comp[grade == 3], minlength=ncomp)
-        bbox = (mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)) if nt else np.zeros((2, 3))
+        v_per, f_per = counted.result()
 
         return MeshReport(
             component_count=ncomp,

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 SPHERE_EPS = 1e-9  # mm; shorter segments degenerate to spheres
+_CHUNK = 1 << 16  # capsule triangles per tessellation block
 
 
 @dataclass(frozen=True)
@@ -229,41 +230,64 @@ def build_wireframe(spec: WireframeSpec, legacy_overshoot: bool = False) -> Tria
     return tessellate_segments(plan_segments(spec, legacy_overshoot), spec.capsule_resolution)
 
 
+def _tessellate_blocks(plan: SegmentPlan, res: int, is_sphere: np.ndarray, voff: np.ndarray,
+                       foff: np.ndarray, mesh: TriangleMesh, segments: range) -> None:
+    """Fill the vertices and triangles of ``segments`` into ``mesh``, a block at a time.
+
+    A block is ``segments.step`` segments, about ``_CHUNK`` triangles.
+    """
+    m = (res + 1) // 2
+    for start in segments:
+        stop = min(start + segments.step, segments.stop)
+        for sphere in (False, True):
+            idx = start + np.flatnonzero(is_sphere[start:stop] == sphere)
+            if len(idx) == 0:
+                continue
+            a, b = plan.a[idx], plan.b[idx]
+            if sphere:
+                a = b = (a + b) / 2.0
+                frame = np.broadcast_to(np.eye(3)[:, None, :], (3, len(idx), 3))
+            else:
+                frame = _frames(a, b)
+            verts = _capsule_vertices(a, b, frame, plan.radius, res)
+            if sphere:
+                verts = np.delete(verts, np.s_[1 + (m - 1) * res : 1 + m * res], axis=1)
+            template = _ladder_template(res, 2 * m - sphere)
+            nv, nf = verts.shape[1], len(template)
+            vtargets = (voff[idx][:, None] + np.arange(nv)[None, :]).ravel()
+            mesh.vertices[vtargets] = verts.reshape(-1, 3)
+            tvals = template[None, :, :] + voff[idx][:, None, None].astype(np.int32)
+            ftargets = (foff[idx][:, None] + np.arange(nf)[None, :]).ravel()
+            mesh.triangles[ftargets] = tvals.reshape(-1, 3)
+
+
 def tessellate_segments(plan: SegmentPlan, res: int) -> TriangleMesh:
     """One closed ladder mesh per segment, in plan order, from one generator.
 
     A capsule has 2m rings.  A sphere is the capsule built with both ends at
     the segment midpoint in the fixed frame x, y, z, less its bottom equator
-    ring (ring m-1), which repeats the top one: 2m-1 rings.
+    ring (ring m-1), which repeats the top one: 2m-1 rings.  Every segment's
+    vertex and triangle offsets are fixed first, and the segments are then
+    filled in place in blocks of about ``_CHUNK`` capsule triangles, the
+    first half of the blocks on the calling thread and the rest on a second
+    thread, so the temporaries of a capsule's rings are bounded by the block.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
+
     m = (res + 1) // 2
     is_sphere = _is_sphere(plan)
     vcounts, fcounts = _ladder_counts(res, np.where(is_sphere, 2 * m - 1, 2 * m))
     voff = np.concatenate([[0], np.cumsum(vcounts)])
     foff = np.concatenate([[0], np.cumsum(fcounts)])
+    mesh = TriangleMesh(np.empty((int(voff[-1]), 3), dtype=np.float64),
+                        np.empty((int(foff[-1]), 3), dtype=np.int32))
 
-    vertices = np.empty((int(voff[-1]), 3), dtype=np.float64)
-    triangles = np.empty((int(foff[-1]), 3), dtype=np.int32)
-
-    for sphere in (False, True):
-        idx = np.flatnonzero(is_sphere == sphere)
-        if len(idx) == 0:
-            continue
-        a, b = plan.a[idx], plan.b[idx]
-        if sphere:
-            a = b = (a + b) / 2.0
-            frame = np.broadcast_to(np.eye(3)[:, None, :], (3, len(idx), 3))
-        else:
-            frame = _frames(a, b)
-        verts = _capsule_vertices(a, b, frame, plan.radius, res)
-        if sphere:
-            verts = np.delete(verts, np.s_[1 + (m - 1) * res : 1 + m * res], axis=1)
-        template = _ladder_template(res, 2 * m - sphere)
-        nv, nf = verts.shape[1], len(template)
-        vtargets = (voff[idx][:, None] + np.arange(nv)[None, :]).ravel()
-        vertices[vtargets] = verts.reshape(-1, 3)
-        tvals = template[None, :, :] + voff[idx][:, None, None].astype(np.int32)
-        ftargets = (foff[idx][:, None] + np.arange(nf)[None, :]).ravel()
-        triangles[ftargets] = tvals.reshape(-1, 3)
-
-    return TriangleMesh(vertices, triangles)
+    step = max(_CHUNK // capsule_counts(res)[1], 1)
+    half = (-(-len(plan) // step) + 1) // 2 * step  # the first half of the blocks, rounded up
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(_tessellate_blocks, plan, res, is_sphere, voff, foff, mesh,
+                             range(min(half, len(plan)), len(plan), step))
+        _tessellate_blocks(plan, res, is_sphere, voff, foff, mesh,
+                           range(0, min(half, len(plan)), step))
+        second.result()
+    return mesh

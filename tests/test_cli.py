@@ -375,6 +375,21 @@ def test_homology_dim_out_of_range(capsys):
     assert "--dim" in err
 
 
+@pytest.mark.parametrize("env", [False, True])
+def test_homology_dim_out_of_range_names_its_source(tmp_path, monkeypatch, capsys, env):
+    cfg_path = tmp_path / "d.cfg"
+    cfg_path.write_text("dim = 7\n")
+    if env:
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg_path))
+        argv = ["homology"]
+    else:
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        argv = ["homology", "--config", str(cfg_path)]
+    assert run(argv, capsys) == (2, "", f"error: {cfg_path}: dim 7 outside 0..2 for sphere\n")
+    # a flag beats the file, and the message names the flag
+    assert run([*argv, "--dim", "5"], capsys) == (2, "", "error: --dim 5 outside 0..2 for sphere\n")
+
+
 def test_homology_rp2(capsys):
     code, text, _ = run(["homology", "--space", "rp2"], capsys)
     assert code == 0
@@ -482,6 +497,27 @@ def test_explicit_config_beats_env(tmp_path, monkeypatch, capsys):
     )
     assert code == 0
     assert text.strip() == "25 0 0"
+
+
+@pytest.mark.parametrize("env", [False, True])
+def test_empty_config_flag_is_an_unreadable_path(tmp_path, monkeypatch, capsys, env):
+    env_cfg = tmp_path / "env.cfg"
+    env_cfg.write_text("outer-radius = 7\ninner-radius = 2\n")
+    if env:
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(env_cfg))
+    else:
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    code, text, err = run(["sample", "--surface", "torus", "--config", "", "0", "0"], capsys)
+    assert (code, text) == (2, "")
+    assert err.startswith("error: cannot read config file :")
+
+
+def test_empty_config_env_var_is_unset(monkeypatch, capsys):
+    monkeypatch.setenv(CONFIG_ENV_VAR, "")
+    default = run(["sample", "--surface", "torus", "0", "0"], capsys)
+    monkeypatch.delenv(CONFIG_ENV_VAR)
+    assert default == run(["sample", "--surface", "torus", "0", "0"], capsys)
+    assert default[0] == 0 and default[2] == ""
 
 
 def test_malformed_config_line(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from identispace import mesh_io
+from identispace import mesh_io, wireframe
 from identispace.geom import SurfaceKind, SurfaceParams, Vec3
 from identispace.mesh_io import (
     STL_HEADER_TAG,
@@ -475,6 +475,43 @@ def test_vertex_limit_fails_cleanly(monkeypatch, chunk, limit):
         read_stl(data)
 
 
+def ranking_soup(xs) -> np.ndarray:
+    """(3T, 3) float32 corners with x from ``xs`` and 5 x 3 (y, z) pairs, each row twice."""
+    rows = [(x, y, z) for x in xs for y in (0.0, -0.0, 1.5, 2.0, -7.0) for z in (0.0, 1.0, -1.0)]
+    rows = np.array(rows * 2, np.float32)[np.random.default_rng(18).permutation(2 * len(rows))]
+    return rows[: len(rows) // 3 * 3]
+
+
+@pytest.mark.parametrize("xs, lower_rows", [
+    ([3.0], 0),  # one x word: every row is at or past the pivot
+    ([1.0, 2.0, 3.0], None),  # a third of the rows tie with the pivot
+    ([0.5, -0.0, 0.0, 2.0, 1e-3, -4.0], None),
+])
+def test_weld_splits_ranking_between_threads(monkeypatch, xs, lower_rows):
+    soup = ranking_soup(xs)
+    data = bytes(write_stl(TriangleMesh(soup, np.arange(len(soup), dtype=np.int32))))
+    rank, calls = mesh_io._unique_rows, []
+
+    def recorded(parts, inverse):
+        if len(parts) > 1:  # the two ranking calls; each dedup call has one block
+            rows = np.concatenate([np.zeros((0, 3), np.uint32), *parts])
+            calls.append((threading.current_thread() is threading.main_thread(), rows))
+        return rank(parts, inverse)
+
+    monkeypatch.setattr(mesh_io, "_CHUNK", 4)
+    monkeypatch.setattr(mesh_io, "_unique_rows", recorded)
+    assert_welds_to_unique_rows(read_stl(data), soup)
+    assert sorted(on_caller for on_caller, _ in calls) == [False, True]
+    lower = next(rows for on_caller, rows in calls if on_caller)
+    upper = next(rows for on_caller, rows in calls if not on_caller)
+    if lower_rows is not None:
+        assert len(lower) == lower_rows
+    else:
+        assert len(lower) and len(upper)
+    if len(lower):  # every lower x word is below every upper one: one global order
+        assert lower[:, 0].max() < upper[:, 0].min()
+
+
 # SHA-256 of the welded vertices and triangles of a binary file per surface;
 # they pin the vertex order and the vertex ids byte for byte
 WELD_PINS = [
@@ -558,6 +595,30 @@ def test_degenerate_triangles_counted():
     report = validate(TriangleMesh(v, t))
     assert report.degenerate_count == 1
     assert report.triangle_count == 2
+
+
+def near_bound_triangles(n: int) -> TriangleMesh:
+    """``n`` separate triangles near the origin, each scaled so that its area is
+    ``DEGENERATE_AREA`` to within a few ulps, about half on each side."""
+    rng = np.random.default_rng(18)
+    p0 = rng.uniform(-2e-6, 2e-6, size=(n, 3))
+    u, v = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    cross = np.cross(u, v)
+    scale = np.sqrt(mesh_io.DEGENERATE_AREA / (np.sqrt((cross * cross).sum(axis=1)) / 2))
+    scale *= 1 + rng.integers(-4, 5, size=n) * np.finfo(float).eps
+    corners = np.stack([p0, p0 + scale[:, None] * u, p0 + scale[:, None] * v], axis=1)
+    return TriangleMesh(corners.reshape(-1, 3), np.arange(3 * n, dtype=np.int32))
+
+
+@pytest.mark.parametrize("chunk, n", [(mesh_io._CHUNK, 20_000), (2, 300)])
+def test_degenerate_count_is_exact_at_the_bound(monkeypatch, chunk, n):
+    # 3 area blocks of 8 192 triangles, or blocks of 1; summing the squares in
+    # another order or comparing the area itself moves the count
+    mesh = near_bound_triangles(n)
+    monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    assert 0.4 * n < expected["degenerate_count"] < 0.6 * n
+    assert validate(mesh).degenerate_count == expected["degenerate_count"]
 
 
 def test_validate_empty_mesh():
@@ -742,6 +803,49 @@ def test_validate_splits_edge_keys_between_threads(monkeypatch, chunk, nt):
     assert sorted(calls) == [(False, nt - nt // 2), (True, nt // 2)]
 
 
+def edge_use_split(triangles) -> list:
+    """(uses, edges) before and from the cut of the sorted edge uses at the first
+    use of the middle use's edge."""
+    uses = sorted((min(a, b), max(a, b)) for t in triangles.tolist()
+                  for a, b in zip(t, t[1:] + t[:1]) if a != b)
+    mid = uses.index(uses[len(uses) // 2]) if uses else 0
+    return [(len(part), len(set(part))) for part in (uses[:mid], uses[mid:])]
+
+
+SPLIT_MESHES = {
+    "middle-inside-a-run": wide_edge_mesh(closed=False),  # 300 uses of each edge
+    "wide-closed": wide_edge_mesh(closed=True),
+    # edge (0, 1) has 5 of the 7 uses, so the cut falls at 0
+    "empty-first-part": TriangleMesh(np.eye(3), np.array([(0, 1, 1), (1, 0, 0), (0, 1, 2)],
+                                                         np.int32)),
+    **{f"tetrahedron-{nt}": TriangleMesh(tetrahedron().vertices, tetrahedron().triangles[:nt])
+       for nt in range(5)},
+}
+
+
+@pytest.mark.parametrize("chunk", [2, 7])
+@pytest.mark.parametrize("mesh", SPLIT_MESHES.values(), ids=SPLIT_MESHES)
+def test_validate_splits_edge_runs_between_threads(monkeypatch, chunk, mesh):
+    runs, grade, calls = mesh_io._edge_runs, mesh_io._grade_edges, []
+
+    def recorded_runs(keys, *out):
+        calls.append(("runs", threading.current_thread() is threading.main_thread(), len(keys)))
+        return runs(keys, *out)
+
+    def recorded_grade(parts, nv, lo, hi, grades):
+        calls.append(("grade", threading.current_thread() is threading.main_thread(), len(lo)))
+        grade(parts, nv, lo, hi, grades)
+
+    monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+    monkeypatch.setattr(mesh_io, "_edge_runs", recorded_runs)
+    monkeypatch.setattr(mesh_io, "_grade_edges", recorded_grade)
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    assert report_fields(validate(mesh)) == expected
+    (lower_uses, lower_edges), (upper_uses, upper_edges) = edge_use_split(mesh.triangles)
+    assert sorted(calls) == [("grade", False, upper_edges), ("grade", True, lower_edges),
+                             ("runs", False, upper_uses), ("runs", True, lower_uses)]
+
+
 def test_concurrent_validates_agree(monkeypatch):
     # four callers with a validate worker each: more threads than cores, switching often
     rng = np.random.default_rng(7)
@@ -760,49 +864,40 @@ def test_concurrent_validates_agree(monkeypatch):
     assert reports == [expected] * 8
 
 
-def test_worker_thread_failure_reaches_caller(monkeypatch):
+def on_caller_only(fn, when=lambda *args: True):
+    """``fn``, raising instead on any other thread than the main one where ``when(*args)``."""
+    def wrapped(*args):
+        if threading.current_thread() is not threading.main_thread() and when(*args):
+            raise MemoryError("injected on the worker")
+        return fn(*args)
+    return wrapped
+
+
+def test_worker_thread_failure_reaches_caller():
     mesh = one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, 6)
     data = bytes(write_stl(mesh))
-    fill, dedup = mesh_io._fill_records, mesh_io._dedup_blocks
-    count, edge_keys = mesh_io._count_degenerate, mesh_io._edge_keys
-
-    def fill_on_caller_only(records, *args):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("injected on the worker")
-        fill(records, *args)
-
-    def count_fails(*args):
-        raise MemoryError("injected on the worker")
-
-    def edge_keys_on_caller_only(tris, nv, keys):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("injected in the worker's edge keys")
-        edge_keys(tris, nv, keys)
-
-    def dedup_on_caller_only(bits, inverse):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("injected on the worker")
-        return dedup(bits, inverse)
-
     threads = threading.active_count()
-    monkeypatch.setattr(mesh_io, "_fill_records", fill_on_caller_only)
-    for mode in ("binary", "ascii"):
-        with pytest.raises(MemoryError, match="worker"):
-            write_stl(mesh, mode)
+
+    def fails_on_worker(call, module, name, when=lambda *args: True, chunk=None):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(module, name, on_caller_only(getattr(module, name), when))
+            if chunk:
+                monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+            with pytest.raises(MemoryError, match="injected on the worker"):
+                call()
         assert threading.active_count() == threads
-    monkeypatch.setattr(mesh_io, "_count_degenerate", count_fails)
-    with pytest.raises(MemoryError, match="worker"):
-        validate(mesh)
-    assert threading.active_count() == threads
-    monkeypatch.setattr(mesh_io, "_count_degenerate", count)
-    monkeypatch.setattr(mesh_io, "_edge_keys", edge_keys_on_caller_only)
-    with pytest.raises(MemoryError, match="worker's edge keys"):
-        validate(mesh)
-    assert threading.active_count() == threads
-    monkeypatch.setattr(mesh_io, "_dedup_blocks", dedup_on_caller_only)
-    with pytest.raises(MemoryError, match="worker"):
-        read_stl(data)
-    assert threading.active_count() == threads
+
+    for mode in ("binary", "ascii"):
+        fails_on_worker(lambda: write_stl(mesh, mode), mesh_io, "_fill_records")
+    for name in ("_edge_keys", "_count_degenerate", "_edge_runs", "_grade_edges", "_extent"):
+        fails_on_worker(lambda: validate(mesh), mesh_io, name)
+    fails_on_worker(lambda: one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, 6),
+                    wireframe, "_tessellate_blocks")
+    for name in ("_dedup_blocks", "_vertex_array"):
+        fails_on_worker(lambda: read_stl(data), mesh_io, name)
+    # in blocks of 2 triangles, only the ranking calls are given more than one block
+    fails_on_worker(lambda: read_stl(data), mesh_io, "_unique_rows",
+                    when=lambda parts, inverse: len(parts) > 1, chunk=2)
 
 
 def test_bbox():

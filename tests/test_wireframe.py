@@ -1,10 +1,14 @@
 import hashlib
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from identispace import wireframe
 from identispace.geom import SurfaceKind, SurfaceParams, surface_point
 from identispace.mesh_io import validate, write_stl
 from identispace.wireframe import (
@@ -243,16 +247,13 @@ def test_nearly_degenerate_segment_becomes_sphere():
 # --- whole wireframes --------------------------------------------------------
 
 
-def test_build_matches_per_capsule_concatenation():
-    spec = small_spec(outer_density=2, capsule_resolution=6)
-    segs = plan_segments(spec)
-    whole = build_wireframe(spec)
+def assert_per_capsule_concatenation(whole, segs, res):
     offset_v = 0
     offset_f = 0
     for idx in range(len(segs)):
-        single = one_capsule(segs.a[idx], segs.b[idx], segs.radius, 6)
+        single = one_capsule(segs.a[idx], segs.b[idx], segs.radius, res)
         nv, nf = len(single.vertices), len(single.triangles)
-        assert np.array_equal(whole.vertices[offset_v : offset_v + nv], single.vertices)
+        assert whole.vertices[offset_v : offset_v + nv].tobytes() == single.vertices.tobytes()
         assert np.array_equal(
             whole.triangles[offset_f : offset_f + nf] - offset_v, single.triangles
         )
@@ -260,6 +261,57 @@ def test_build_matches_per_capsule_concatenation():
         offset_f += nf
     assert offset_v == len(whole.vertices)
     assert offset_f == len(whole.triangles)
+
+
+def test_build_matches_per_capsule_concatenation():
+    spec = small_spec(outer_density=2, capsule_resolution=6)
+    assert_per_capsule_concatenation(build_wireframe(spec), plan_segments(spec), 6)
+
+
+@pytest.mark.parametrize("per_block", [1, 4, 7])
+def test_tessellation_blocks_split_between_threads(monkeypatch, per_block):
+    # a Roman draft whose 72 spheres come in pairs of adjacent segments: blocks of
+    # 4 segments keep each pair together and blocks of 1 or 7 cut some of them
+    spec = WireframeSpec(SurfaceParams(SurfaceKind.ROMAN, lat_ribs=4, long_ribs=8),
+                         outer_density=2, inner_density=2, thickness=1.2, capsule_resolution=6)
+    segs = plan_segments(spec)
+    spheres = np.flatnonzero(wireframe._is_sphere(segs))
+    fill, calls = wireframe._tessellate_blocks, []
+
+    def recorded(*args):
+        calls.append((threading.current_thread() is threading.main_thread(), args[-1]))
+        fill(*args)
+
+    monkeypatch.setattr(wireframe, "_CHUNK", per_block * capsule_counts(6)[1] + 5)
+    monkeypatch.setattr(wireframe, "_tessellate_blocks", recorded)
+    whole = tessellate_segments(segs, 6)
+    blocks = -(-len(segs) // per_block)
+    half = (blocks + 1) // 2 * per_block  # the caller's segments
+    assert sorted(calls) == [(False, range(half, len(segs), per_block)),
+                             (True, range(0, half, per_block))]
+    assert len(spheres) == 72 and spheres.min() < half <= spheres.max()
+    monkeypatch.setattr(wireframe, "_tessellate_blocks", fill)
+    assert_per_capsule_concatenation(whole, segs, 6)
+
+
+def test_concurrent_tessellations_agree(monkeypatch):
+    # four callers with a tessellation worker each: more threads than cores, switching often
+    spec = WireframeSpec(SurfaceParams(SurfaceKind.ROMAN, lat_ribs=4, long_ribs=8),
+                         outer_density=2, inner_density=2, thickness=1.2, capsule_resolution=6)
+    segs = plan_segments(spec)
+    expected = tessellate_segments(segs, 6)
+    monkeypatch.setattr(wireframe, "_CHUNK", 3 * capsule_counts(6)[1])  # 108 blocks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            meshes = list(callers.map(lambda _: tessellate_segments(segs, 6), range(8),
+                                      timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for mesh in meshes:
+        assert mesh.vertices.tobytes() == expected.vertices.tobytes()
+        assert np.array_equal(mesh.triangles, expected.triangles)
 
 
 def test_build_triangle_count_formula():
