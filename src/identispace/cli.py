@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 from dataclasses import fields
 
@@ -204,37 +205,86 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise CliError(f"{triangles} triangles exceed the 32-bit STL limit")
     out_path = f"{spec.surface.kind.value}.stl" if args.output is None else args.output
     try:
-        with open(out_path, "wb") as fh:  # opened first: an unwritable path fails fast
-            mesh = tessellate_segments(segments, res)
-            report = validate(mesh)
-            data = write_stl(mesh, "ascii" if args.ascii else "binary")
-            fh.write(data)
+        with _open_output(out_path) as fh:  # opened first: an unwritable path fails fast
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            try:
+                mappable = regular and not args.ascii
+                mapping = _map_output(fh, 84 + 50 * triangles) if mappable else None
+                mesh = tessellate_segments(segments, res)
+                report = validate(mesh)
+                data = write_stl(mesh, "ascii" if args.ascii else "binary", out=mapping)
+                if mapping is None:
+                    fh.write(data)
+                size = len(data)
+            except (OSError, ValueError):  # ValueError: a vertex past the float32 range
+                if regular:
+                    os.remove(out_path)
+                raise
     except OSError as exc:
         raise CliError(f"cannot write {out_path}: {exc}") from exc
-    except ValueError as exc:  # write_stl found a vertex past the float32 range
-        os.remove(out_path)
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     for line in report.summary_lines():
         print(line)
     print(f"sphere_degenerate_capsules: {spheres}")
-    print(f"file: {out_path} ({len(data)} bytes)")
+    print(f"file: {out_path} ({size} bytes)")
     if not report.all_watertight:
         print("warning: mesh is not watertight; file written anyway", file=sys.stderr)
         return 1
     return 0
 
 
+def _open_output(path: str):
+    """``path`` opened for writing: read-write, so that it can be mapped, unless it is special.
+
+    A pipe or a device that exists already is opened write-only, as a reader
+    of a FIFO expects, and so is a file that may be written but not read.
+    Neither can be mapped, so both are written whole.
+    """
+    try:
+        special = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # no file yet, or a path that open rejects as well
+        special = False
+    if not special:
+        try:
+            return open(path, "w+b")
+        except PermissionError:
+            pass
+    return open(path, "wb")
+
+
+def _map_output(fh, size: int):
+    """A shared mapping of the first ``size`` bytes of the regular file ``fh``, or None.
+
+    The file's blocks are allocated first, so a full disk or quota fails
+    here with ``OSError`` instead of as a ``SIGBUS`` when a page is written.
+    None means the file system cannot map the file, which is then written.
+    """
+    import mmap  # imported here, like every module only one command needs
+
+    os.posix_fallocate(fh.fileno(), 0, size)
+    try:
+        return mmap.mmap(fh.fileno(), size)
+    except OSError:
+        return None
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
+    import mmap
+
     try:
         with open(args.path, "rb") as fh:
-            data = fh.read()
+            try:
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError):  # empty, a pipe or a device: read it whole
+                data = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {args.path}: {exc}") from exc
     try:
         mesh = read_stl(data)
     except StlError as exc:
         raise CliError(str(exc)) from exc
-    del data  # the welded mesh holds no reference to the file bytes
+    del data  # the welded mesh holds no reference to the file bytes or their mapping
     report = validate(mesh)
     for line in report.summary_lines():
         print(line)

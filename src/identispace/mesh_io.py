@@ -55,7 +55,10 @@ _FACET = (  # filled with values already formatted by "%.9g"
 )
 # The other line breaks of str.splitlines become "\n", so a data line follows a "\n" (the
 # first line is "solid"); str.split also splits at \x1f.  A vertex row follows the first token.
-_NEWLINES = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
+_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_NEWLINES = bytes.maketrans(b"".join(_BREAKS), b"\n" * len(_BREAKS))
+_TEXT_CHUNK = 1 << 20  # bytes of text translated at a time
+_SOLID = re.compile(rb"[ \t\n\r\x0b\x0c]*solid")  # after the whitespace bytes.lstrip() strips
 _FACET_LINE = re.compile(rb"\n[ \t\x1f]*facet normal")
 _VERTEX_ROW = re.compile(rb"\n[ \t\x1f]*vertex[^\s\x1f]*[ \t\x1f]*([^\n]*)")
 
@@ -147,7 +150,7 @@ def _unit_normals(corners: np.ndarray) -> np.ndarray:
 
 
 def _fill_records(records: np.ndarray, vertices: np.ndarray, triangles: np.ndarray) -> None:
-    """Fill the corners and unit normals of binary records, ``_CHUNK // 2`` at a time.
+    """Fill binary records, ``_CHUNK // 2`` at a time: corners, unit normals and a zero attribute.
 
     The float64 corners are rounded to float32 as they are stored.
     """
@@ -156,10 +159,11 @@ def _fill_records(records: np.ndarray, vertices: np.ndarray, triangles: np.ndarr
         block = records[start : start + step]
         block["corners"] = vertices[triangles[start : start + step]]
         block["normal"] = _unit_normals(block["corners"])
+        block["attribute"] = 0
 
 
-def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
-    """Serialize to STL bytes, returned as a ``bytearray`` in both modes.
+def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
+    """Serialize to STL bytes, returned as a ``bytearray`` in both modes, or in ``out``.
 
     Binary layout: 80-byte header tagged ``identispace-forge``, little-endian
     uint32 triangle count, then 50 bytes per triangle (normal, three vertices
@@ -173,6 +177,12 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
     coordinates with 9 significant digits so both modes parse back to
     identical meshes.  A vertex that is not finite once rounded to float32
     raises ``ValueError``.
+
+    ``out``, a writable buffer of exactly 84 + 50*n bytes such as a shared
+    mapping of the output file, is filled with the binary file in place of a
+    new ``bytearray`` and returned; whatever it held before is overwritten.
+    ASCII mode with ``out``, or an ``out`` of another length, raises
+    ``ValueError``.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
 
@@ -181,6 +191,10 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
     n = mesh.triangle_count
     if n >= STL_TRIANGLE_LIMIT:
         raise ValueError("triangle count exceeds the 32-bit STL limit")
+    if out is not None and mode != "binary":
+        raise ValueError("out= takes the binary file only")
+    if out is not None and len(out) != 84 + 50 * n:
+        raise ValueError(f"out holds {len(out)} bytes; {n} triangles need {84 + 50 * n}")
     mesh.check_indices()
     step = max(_CHUNK, 1)
     with np.errstate(over="ignore"):
@@ -188,7 +202,7 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
             if not np.isfinite(mesh.vertices[start : start + step].astype("<f4")).all():
                 raise ValueError("a vertex is not finite in float32, the STL coordinate type")
 
-    binary = bytearray(84 + 50 * n)  # zeroed, so every attribute is 0
+    binary = bytearray(84 + 50 * n) if out is None else out
     binary[:80] = STL_HEADER_TAG.ljust(80, b"\0")
     struct.pack_into("<I", binary, 80, n)
     records = np.frombuffer(binary, _RECORD, count=n, offset=84)
@@ -211,6 +225,31 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary") -> bytearray:
         text += ((_FACET * len(chunk)) % tuple(digits[at.ravel()].tolist())).encode("ascii")
     text += f"endsolid {name}\n".encode("ascii")
     return text
+
+
+def _ignore(start: int, stop: int) -> None:
+    """A ``done`` or ``release`` callback with nothing to do."""
+
+
+def _page_release(data):
+    """``release(start, stop)``, dropping the whole pages of bytes [start, stop) of ``data``.
+
+    Only a read-only file mapping has pages to drop: its bytes stay in the
+    page cache, and reading them again maps them again.  For any other
+    buffer, whose pages might hold its own changes, ``release`` does nothing.
+    """
+    if not hasattr(data, "madvise") or not memoryview(data).readonly:
+        return _ignore
+    import mmap
+
+    page = mmap.PAGESIZE
+
+    def release(start: int, stop: int) -> None:
+        start, stop = -(-start // page) * page, stop // page * page
+        if stop > start:
+            data.madvise(mmap.MADV_DONTNEED, start, stop - start)
+
+    return release
 
 
 def _unique_rows(parts: list, inverse: np.ndarray) -> np.ndarray:
@@ -277,18 +316,22 @@ def _check_vertex_count(count: int) -> None:
                        "past the int32 vertex index")
 
 
-def _dedup_blocks(bits: np.ndarray, inverse: np.ndarray) -> list:
+def _dedup_blocks(bits: np.ndarray, inverse: np.ndarray, done=_ignore) -> list:
     """The unique rows of each ``_CHUNK``-triangle block of (T,3,3) uint32 bits.
 
     Each corner's index among its block's rows is written to ``inverse``
     (3T int32); the rows come back as a list, one (n,3) array per block.
+    ``done(start, stop)`` is told the triangles of each block once its rows
+    are found; nothing reads those corners again.
     """
     step = max(_CHUNK, 1)
-    return [
-        _unique_rows([bits[start : start + step].reshape(-1, 3)],
-                     inverse[3 * start : 3 * (start + step)])
-        for start in range(0, len(bits), step)
-    ]
+    blocks = []
+    for start in range(0, len(bits), step):
+        stop = min(start + step, len(bits))
+        rows = _unique_rows([bits[start:stop].reshape(-1, 3)], inverse[3 * start : 3 * stop])
+        blocks.append(rows)
+        done(start, stop)
+    return blocks
 
 
 def _pivot(blocks: list) -> int:
@@ -298,7 +341,7 @@ def _pivot(blocks: list) -> int:
     return int(np.partition(sample, len(sample) // 2)[len(sample) // 2]) if len(sample) else 0
 
 
-def _weld(tri_verts: np.ndarray) -> TriangleMesh:
+def _weld(tri_verts: np.ndarray, done=_ignore) -> TriangleMesh:
     """Index a (T,3,3) float32 coordinate soup, welding bit-identical vertices.
 
     Identity is the 96-bit pattern, so -0.0 and +0.0 are distinct vertices.
@@ -314,7 +357,10 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     upper, and the upper ranks follow the lower ones, so the vertex order is
     that of one global ranking whatever the pivot.  The only array with an
     entry per corner is the 4-byte vertex index, remapped in place block by
-    block on the calling thread while the worker builds the float64 vertices.
+    block, the first half of the blocks on the calling thread and the rest on
+    the worker once it has built the float64 vertices.  ``done(start, stop)``
+    is told the triangles of each block once they are deduplicated, from
+    either thread.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
 
@@ -323,8 +369,9 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
     half = (-(-len(bits) // step) + 1) // 2 * step  # the first half of the blocks, rounded up
     inverse = np.empty(3 * len(bits), dtype=np.int32)
     with ThreadPoolExecutor(1) as pool:
-        second = pool.submit(_dedup_blocks, bits[half:], inverse[3 * half :])
-        blocks = _dedup_blocks(bits[:half], inverse[: 3 * half])
+        second = pool.submit(_dedup_blocks, bits[half:], inverse[3 * half :],
+                             lambda start, stop: done(half + start, half + stop))
+        blocks = _dedup_blocks(bits[:half], inverse[: 3 * half], done)
         blocks += second.result()
         pivot = _pivot(blocks)
         cuts = [int(np.searchsorted(rows[:, 0], pivot)) for rows in blocks]
@@ -339,17 +386,35 @@ def _weld(tri_verts: np.ndarray) -> TriangleMesh:
         upper = upper.result()
         _check_vertex_count(len(lower) + len(upper))
         upper_rank += len(lower)
-        vertices = pool.submit(_vertex_array, [lower, upper])  # beside the remap
-        del lower, upper
-        at_lower = at_upper = 0
-        for block, (cut, size) in enumerate(zip(cuts, sizes)):
-            rank = np.concatenate([lower_rank[at_lower : at_lower + cut],
-                                   upper_rank[at_upper : at_upper + size - cut]])
-            corners = inverse[3 * step * block : 3 * step * (block + 1)]
-            corners[:] = rank[corners]
+        ranks, at_lower, at_upper = [], 0, 0  # each block's ranks below and from the pivot
+        for cut, size in zip(cuts, sizes):
+            ranks.append((lower_rank[at_lower : at_lower + cut],
+                          upper_rank[at_upper : at_upper + size - cut]))
             at_lower += cut
             at_upper += size - cut
+        vertices = pool.submit(_vertices_then_remap, [lower, upper],
+                               inverse[3 * half :], ranks[half // step :])
+        del lower, upper
+        _remap(inverse[: 3 * half], ranks[: half // step])
         return TriangleMesh(vertices.result(), inverse.reshape(-1, 3))
+
+
+def _remap(inverse: np.ndarray, ranks: list) -> None:
+    """Replace each corner's index among its block's rows by the row's rank, block by block.
+
+    ``ranks`` holds the (lower, upper) rank arrays of each ``_CHUNK``-triangle block.
+    """
+    step = 3 * max(_CHUNK, 1)
+    for block, (lower, upper) in enumerate(ranks):
+        corners = inverse[step * block : step * (block + 1)]
+        corners[:] = np.concatenate([lower, upper])[corners]
+
+
+def _vertices_then_remap(rows: list, inverse: np.ndarray, ranks: list) -> np.ndarray:
+    """``_vertex_array(rows)``, then ``_remap(inverse, ranks)``: the worker's end of the weld."""
+    vertices = _vertex_array(rows)
+    _remap(inverse, ranks)
+    return vertices
 
 
 def _vertex_array(rows: list) -> np.ndarray:
@@ -364,7 +429,7 @@ def _vertex_array(rows: list) -> np.ndarray:
     return vertices
 
 
-def _parse_binary(data: bytes) -> np.ndarray:
+def _parse_binary(data) -> np.ndarray:
     if len(data) < 84:
         raise StlError(f"truncated STL: {len(data)} bytes, header needs 84")
     (n,) = struct.unpack_from("<I", data, 80)
@@ -376,12 +441,25 @@ def _parse_binary(data: bytes) -> np.ndarray:
     return np.frombuffer(data, _RECORD, count=n, offset=84)["corners"]
 
 
-def _parse_ascii(data: bytes) -> np.ndarray:
-    """(T,3,3) float32 corners: three ``vertex`` rows per ``facet normal`` line."""
-    if not data.isascii():
+def _parse_ascii(data, release=_ignore) -> np.ndarray:
+    """(T,3,3) float32 corners: three ``vertex`` rows per ``facet normal`` line.
+
+    The text is scanned where it lies.  It is copied, ``_TEXT_CHUNK`` bytes
+    at a time, only when it holds other line breaks than line feeds, to turn
+    them into line feeds.  ``release(0, len(data))`` is called once the rows
+    are collected.
+    """
+    if np.frombuffer(data, np.uint8).max(initial=0) >= 0x80:
         raise StlError("ASCII STL has non-ASCII bytes")
-    text = data.translate(_NEWLINES)
+    text = data if hasattr(data, "find") else bytes(data)  # a memoryview has no find
+    if any(text.find(byte) >= 0 for byte in _BREAKS):
+        lines = bytearray(len(text))
+        for at in range(0, len(text), _TEXT_CHUNK):
+            lines[at : at + _TEXT_CHUNK] = text[at : at + _TEXT_CHUNK].translate(_NEWLINES)
+        text = lines
     rows, facets = _VERTEX_ROW.findall(text), len(_FACET_LINE.findall(text))
+    del text
+    release(0, len(data))
     if len(rows) != 3 * facets or not all(rows):  # loadtxt would skip a blank row
         raise StlError(f"{facets} facets need {3 * facets} vertex rows with coordinates; "
                        f"found {len(rows)}, {rows.count(b'')} of them without")
@@ -393,23 +471,31 @@ def _parse_ascii(data: bytes) -> np.ndarray:
         return coords.astype(np.float32).reshape(-1, 3, 3)
 
 
-def read_stl(data: bytes) -> TriangleMesh:
+def read_stl(data) -> TriangleMesh:
     """Parse STL bytes (binary or ASCII, auto-detected) into a welded mesh.
 
-    Triangle order is preserved; vertices sort by their (x, y, z) float32 bit
-    patterns read as uint32, so 1.0 < 2.0 < -0.0.  Beside ``data`` (and the
-    corners ``_parse_ascii`` decodes from text), the weld holds 4 bytes per
-    corner plus the block-unique rows.  Its blocks, and then the ranking of
-    their rows split at a pivot x word, run on two threads, and its sorts
-    are one-word ``np.argsort`` calls.  A file with ``_VERTEX_LIMIT`` (2**31)
-    or more distinct vertices, past the int32 vertex index, raises
-    ``StlError``, whether one side of the ranking or the two together reach
-    it.
+    ``data`` is any bytes-like buffer: ``bytes``, ``bytearray``, a
+    ``memoryview`` or an ``mmap``.  Triangle order is preserved; vertices
+    sort by their (x, y, z) float32 bit patterns read as uint32, so
+    1.0 < 2.0 < -0.0.  Beside ``data`` (and the corners ``_parse_ascii``
+    decodes from text), the weld holds 4 bytes per corner plus the
+    block-unique rows.  Its blocks, and then the ranking of their rows split
+    at a pivot x word, run on two threads, and its sorts are one-word
+    ``np.argsort`` calls.  A file with ``_VERTEX_LIMIT`` (2**31) or more
+    distinct vertices, past the int32 vertex index, raises ``StlError``,
+    whether one side of the ranking or the two together reach it.
+
+    A read-only mapping of the file (``mmap.ACCESS_READ``) is not held
+    resident: the weld drops each block's pages once the block is
+    deduplicated, and the ASCII parse drops the text once its rows are
+    collected.  The mapping's contents are unchanged, and it may be read again.
     """
-    if data.lstrip()[:5] != b"solid":
-        return _weld(_parse_binary(data))
+    release = _page_release(data)
+    if not _SOLID.match(data):
+        corners = _parse_binary(data)  # triangle k's record starts at byte 84 + 50k
+        return _weld(corners, lambda start, stop: release(84 + 50 * start, 84 + 50 * stop))
     try:
-        corners = _parse_ascii(data)
+        corners = _parse_ascii(data, release)
     except StlError as ascii_error:
         try:  # binary files may legally start with "solid"
             corners = _parse_binary(data)

@@ -1,9 +1,11 @@
+import errno
 import importlib.util
 import json
 import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +273,123 @@ def test_generate_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+# The report of ``generate *SMALL`` and of ``validate`` on its file.
+SMALL_GENERATE = """\
+triangles: 1792
+components: 56
+watertight: 56/56
+edge_manifold: 56/56
+euler_characteristic: 2
+boundary_edges: 0
+degenerate_triangles: 0
+bbox_min: -21.2 -35.841 -9.86025
+bbox_max: 41.1591 35.841 9.86025
+sphere_degenerate_capsules: 0
+"""
+SMALL_VALIDATE = """\
+triangles: 1792
+components: 6
+watertight: 6/6
+edge_manifold: 0/6
+euler_characteristic: 34..726
+boundary_edges: 0
+degenerate_triangles: 0
+bbox_min: -21.2 -35.841 -9.86025
+bbox_max: 41.1591 35.841 9.86025
+"""
+
+
+def small_stl(tmp_path, *flags) -> bytes:
+    path = tmp_path / "small.stl"
+    assert main(["generate", *SMALL, *flags, "--output", str(path)]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("flags, size", [([], 89684), (["--ascii"], 387742)])
+def test_generate_to_dev_null(tmp_path, capsys, flags, size):
+    # a device cannot be mapped, so the file is written whole, as to a pipe
+    assert len(small_stl(tmp_path, *flags)) == size
+    capsys.readouterr()
+    code, text, err = run(["generate", *SMALL, *flags, "--output", os.devnull], capsys)
+    assert (code, text, err) == (0, SMALL_GENERATE + f"file: {os.devnull} ({size} bytes)\n", "")
+    assert os.path.exists(os.devnull)
+
+
+def read_fifo(path, into: list) -> threading.Thread:
+    def reader():
+        with open(path, "rb") as fh:
+            into.append(fh.read())
+    thread = threading.Thread(target=reader)
+    thread.start()
+    return thread
+
+
+def test_generate_to_a_fifo(tmp_path, capsys):
+    expected = small_stl(tmp_path)
+    capsys.readouterr()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = read_fifo(fifo, got)
+    code, text, err = run(["generate", *SMALL, "--output", str(fifo)], capsys)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert (code, text, err) == (0, SMALL_GENERATE + f"file: {fifo} (89684 bytes)\n", "")
+    assert got == [expected]
+
+
+def test_generate_to_a_write_only_file(tmp_path, capsys, monkeypatch):
+    # a file its owner may write but not read cannot be opened read-write, nor
+    # mapped through a write-only descriptor, so it is written whole
+    expected = small_stl(tmp_path)
+    capsys.readouterr()
+
+    def no_read(path, mode="r", *args, **kw):
+        if "+" in mode:
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, mode, *args, **kw)
+
+    monkeypatch.setattr(cli, "open", no_read, raising=False)
+    out = tmp_path / "w.stl"
+    code, text, err = run(["generate", *SMALL, "--output", str(out)], capsys)
+    assert (code, text, err) == (0, SMALL_GENERATE + f"file: {out} (89684 bytes)\n", "")
+    assert out.read_bytes() == expected
+
+
+def test_generate_cannot_preallocate_fails_before_building(tmp_path, capsys, monkeypatch):
+    # a full disk or quota fails at the preallocation, never as SIGBUS on a mapped page
+    def no_space(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", no_space)
+    monkeypatch.setattr(cli, "tessellate_segments", fail_if_called("tessellate_segments"))
+    out = tmp_path / "x.stl"
+    code, text, err = run(["generate", *SMALL, "--output", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: cannot write {out}: [Errno 28] No space left on device\n"
+    assert text == ""
+    assert not out.exists()
+
+
+def test_generate_failure_removes_only_a_regular_output(tmp_path, capsys, monkeypatch):
+    def past_float32(*_args, **_kw):
+        raise ValueError("a vertex is not finite in float32, the STL coordinate type")
+
+    monkeypatch.setattr(cli, "write_stl", past_float32)
+    out, fifo = tmp_path / "x.stl", tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = read_fifo(fifo, got)
+    for path in (out, fifo):
+        code, text, err = run(["generate", *SMALL, "--output", str(path)], capsys)
+        assert (code, text) == (2, "")
+        assert err == "error: a vertex is not finite in float32, the STL coordinate type\n"
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert not out.exists()
+    assert fifo.exists() and got == [b""]
+
+
 # --- validate ----------------------------------------------------------------
 
 
@@ -342,6 +461,45 @@ def test_validate_past_the_vertex_index_exits_2(tmp_path, capsys, monkeypatch):
 def test_validate_missing_file(capsys):
     code, _, err = run(["validate", "/nonexistent/file.stl"], capsys)
     assert code == 2
+
+
+def test_validate_empty_file(tmp_path, capsys):
+    # an empty file cannot be mapped; it is read, and is too short for a header
+    path = tmp_path / "empty.stl"
+    path.write_bytes(b"")
+    assert run(["validate", str(path)], capsys) == (
+        2, "", "error: truncated STL: 0 bytes, header needs 84\n")
+
+
+def test_validate_a_fifo(tmp_path, capsys):
+    data = small_stl(tmp_path)
+    capsys.readouterr()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def writer():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+    thread = threading.Thread(target=writer)
+    thread.start()
+    result = run(["validate", str(fifo)], capsys)
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert result == (0, SMALL_VALIDATE, "")
+
+
+@pytest.mark.parametrize("stdin", ["pipe", "file"])
+def test_validate_dev_stdin(tmp_path, stdin):
+    # a pipe cannot be mapped and is read; a file behind standard input is mapped
+    data = small_stl(tmp_path)
+    argv = [sys.executable, "-m", "identispace.cli", "validate", "/dev/stdin"]
+    options = dict(env=python_path(ROOT / "src"), capture_output=True, timeout=120)
+    if stdin == "pipe":
+        proc = subprocess.run(argv, input=data, **options)
+    else:
+        with open(tmp_path / "small.stl", "rb") as fh:
+            proc = subprocess.run(argv, stdin=fh, **options)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (0, SMALL_VALIDATE, "")
 
 
 # --- homology ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import mmap
 import struct
 import sys
 import threading
@@ -298,6 +299,129 @@ def test_binary_starting_with_solid_falls_back():
     assert mesh.triangle_count == 4
 
 
+# --- read / write: buffers and file mappings ---------------------------------
+
+
+def read_only_mapping(path) -> mmap.mmap:
+    with open(path, "rb") as fh:
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def stl_flavours() -> dict:
+    """One mesh of 10 capsules (2 880 triangles, 36 pages in binary) in four spellings."""
+    rng = np.random.default_rng(19)
+    meshes = [one_capsule(*rng.normal(size=(2, 3)), 0.4, 12) for _ in range(10)]
+    offsets = np.cumsum([0] + [len(m.vertices) for m in meshes[:-1]])
+    mesh = TriangleMesh(np.concatenate([m.vertices for m in meshes]),
+                        np.concatenate([m.triangles + at for m, at in zip(meshes, offsets)]))
+    binary, text = bytes(write_stl(mesh)), bytes(write_stl(mesh, "ascii"))
+    return {
+        "binary": binary,
+        "ascii-lf": text,
+        "ascii-crlf": text.replace(b"\n", b"\r\n"),
+        "binary-solid": b"solid" + binary[5:],
+    }
+
+
+@pytest.mark.parametrize("flavour", ["binary", "ascii-lf", "ascii-crlf", "binary-solid"])
+def test_every_buffer_reads_alike(tmp_path, monkeypatch, flavour):
+    data = stl_flavours()[flavour]
+    path = tmp_path / "m.stl"
+    path.write_bytes(data)
+    monkeypatch.setattr(mesh_io, "_CHUNK", 512)  # 6 weld blocks, each past a page
+    monkeypatch.setattr(mesh_io, "_TEXT_CHUNK", 4093)  # translated chunks end mid-line
+    expected = read_stl(data)
+    assert expected.triangle_count == 2880
+    mapping = read_only_mapping(path)
+    for buffer in (bytearray(data), memoryview(data), mapping, mapping):  # the mapping twice
+        back = read_stl(buffer)
+        assert np.array_equal(back.vertices.view("<u8"), expected.vertices.view("<u8"))
+        assert np.array_equal(back.triangles, expected.triangles)
+    assert mapping[:] == data  # the dropped pages read back from the file
+    mapping.close()  # no view of the mapping outlives a read
+
+
+@pytest.mark.parametrize("flavour", ["binary", "ascii-lf"])
+def test_mapped_read_releases_what_it_has_read(tmp_path, monkeypatch, flavour):
+    data = stl_flavours()[flavour]
+    path = tmp_path / "m.stl"
+    path.write_bytes(data)
+    released, page_release = [], mesh_io._page_release
+
+    def recorded(buffer):
+        release = page_release(buffer)
+        assert release is not mesh_io._ignore  # a read-only mapping has pages to drop
+
+        def record(start, stop):
+            released.append((start, stop))
+            release(start, stop)
+        return record
+
+    monkeypatch.setattr(mesh_io, "_CHUNK", 512)
+    monkeypatch.setattr(mesh_io, "_page_release", recorded)
+    mapping = read_only_mapping(path)
+    read_stl(mapping)
+    if flavour == "binary":  # each block's records, from both threads
+        n = 2880
+        assert sorted(released) == [(84 + 50 * at, 84 + 50 * min(at + 512, n))
+                                    for at in range(0, n, 512)]
+    else:  # the whole text, once the rows are collected
+        assert released == [(0, len(data))]
+    mapping.close()
+
+
+def test_only_a_read_only_mapping_has_pages_to_release(tmp_path):
+    path = tmp_path / "m.stl"
+    path.write_bytes(bytes(3 * mmap.PAGESIZE))
+    with open(path, "r+b") as fh:
+        shared = mmap.mmap(fh.fileno(), 0)
+        private = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    mapping = read_only_mapping(path)
+    for buffer in (b"x", bytearray(1), memoryview(b"x"), shared, private):
+        assert mesh_io._page_release(buffer) is mesh_io._ignore
+    mesh_io._page_release(mapping)(1, 3 * mmap.PAGESIZE - 1)  # rounds in to the whole middle page
+    assert mapping[:] == bytes(3 * mmap.PAGESIZE)
+    for buffer in (shared, private, mapping):
+        buffer.close()
+
+
+def prefilled_buffers(tmp_path, size: int) -> dict:
+    """Writable buffers of ``size`` bytes, each filled with 0xFF."""
+    path = tmp_path / "out.stl"
+    path.write_bytes(b"\xff" * size)
+    with open(path, "r+b") as fh:
+        shared = mmap.mmap(fh.fileno(), size)
+    anonymous = mmap.mmap(-1, size)
+    anonymous[:] = b"\xff" * size
+    return {"bytearray": bytearray(b"\xff" * size),
+            "memoryview": memoryview(bytearray(b"\xff" * size)),
+            "anonymous mapping": anonymous,
+            "file mapping": shared}
+
+
+@pytest.mark.parametrize("chunk", [2, mesh_io._CHUNK])
+def test_write_into_a_buffer_equals_write(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+    mesh = one_capsule((0, 1, 2), (3, -1, 0.5), 0.6, 9)
+    expected = bytes(write_stl(mesh))
+    buffers = prefilled_buffers(tmp_path, len(expected))
+    for name, buffer in buffers.items():
+        assert write_stl(mesh, "binary", out=buffer) is buffer, name
+        assert bytes(buffer) == expected, name  # every attribute is 0 again
+    buffers["file mapping"].close()
+    assert (tmp_path / "out.stl").read_bytes() == expected
+
+
+def test_write_into_a_buffer_rejects_a_wrong_size_or_ascii(tmp_path):
+    mesh = tetrahedron()
+    size = 84 + 50 * 4
+    for out, mode in ((bytearray(size - 1), "binary"), (bytearray(size + 50), "binary"),
+                      (bytearray(size), "ascii")):
+        with pytest.raises(ValueError, match="out"):
+            write_stl(mesh, mode, out=out)
+        assert out == bytearray(len(out))  # nothing written
+
+
 @pytest.mark.parametrize("mode", ["binary", "ascii"])
 def test_vertex_order_is_uint32_order_of_float32_bits(mode):
     # 1.0 = 0x3f800000 < 2.0 = 0x40000000 < -0.0 = 0x80000000; by little-endian
@@ -380,9 +504,9 @@ def test_weld_splits_blocks_between_threads(monkeypatch):
     data = bytes(write_stl(mesh))
     dedup, calls = mesh_io._dedup_blocks, []
 
-    def recorded(bits, inverse):
+    def recorded(bits, inverse, *done):
         calls.append((threading.current_thread() is threading.main_thread(), len(bits)))
-        return dedup(bits, inverse)
+        return dedup(bits, inverse, *done)
 
     monkeypatch.setattr(mesh_io, "_CHUNK", 2)
     monkeypatch.setattr(mesh_io, "_dedup_blocks", recorded)
@@ -536,6 +660,22 @@ def test_weld_output_is_pinned(kind, grid, res, legacy, vertices_sha, triangles_
     back = read_stl(bytes(write_stl(build_wireframe(spec, legacy))))
     assert hashlib.sha256(back.vertices.tobytes()).hexdigest() == vertices_sha
     assert hashlib.sha256(back.triangles.tobytes()).hexdigest() == triangles_sha
+
+
+@pytest.mark.parametrize("kind, grid, res, legacy, vertices_sha, triangles_sha", WELD_PINS,
+                         ids=[pin[0].value for pin in WELD_PINS])
+def test_mapped_weld_output_is_pinned(tmp_path, kind, grid, res, legacy, vertices_sha,
+                                      triangles_sha):
+    surface = SurfaceParams(kind, lat_ribs=grid[0], long_ribs=grid[1])
+    spec = WireframeSpec(surface, outer_density=2, inner_density=2, thickness=1.2,
+                         capsule_resolution=res)
+    path = tmp_path / "m.stl"
+    path.write_bytes(write_stl(build_wireframe(spec, legacy)))
+    mapping = read_only_mapping(path)
+    back = read_stl(mapping)
+    assert hashlib.sha256(back.vertices.tobytes()).hexdigest() == vertices_sha
+    assert hashlib.sha256(back.triangles.tobytes()).hexdigest() == triangles_sha
+    mapping.close()
 
 
 # --- validate ----------------------------------------------------------------
