@@ -209,11 +209,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             try:
                 mappable = regular and not args.ascii
-                mapping = _map_output(fh, 84 + 50 * triangles) if mappable else None
+                if mappable:  # a full disk or quota fails here, not as SIGBUS on a mapped page
+                    os.posix_fallocate(fh.fileno(), 0, 84 + 50 * triangles)
                 mesh = tessellate_segments(segments, res)
                 report = validate(mesh)
-                data = write_stl(mesh, "ascii" if args.ascii else "binary", out=mapping)
-                if mapping is None:
+                data = write_stl(mesh, "ascii" if args.ascii else "binary",
+                                 out=fh if mappable else None)
+                if not mappable:
                     fh.write(data)
                 size = len(data)
             except (OSError, ValueError):  # ValueError: a vertex past the float32 range
@@ -251,22 +253,6 @@ def _open_output(path: str):
         except PermissionError:
             pass
     return open(path, "wb")
-
-
-def _map_output(fh, size: int):
-    """A shared mapping of the first ``size`` bytes of the regular file ``fh``, or None.
-
-    The file's blocks are allocated first, so a full disk or quota fails
-    here with ``OSError`` instead of as a ``SIGBUS`` when a page is written.
-    None means the file system cannot map the file, which is then written.
-    """
-    import mmap  # imported here, like every module only one command needs
-
-    os.posix_fallocate(fh.fileno(), 0, size)
-    try:
-        return mmap.mmap(fh.fileno(), size)
-    except OSError:
-        return None
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

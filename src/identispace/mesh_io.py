@@ -149,10 +149,16 @@ def _unit_normals(corners: np.ndarray) -> np.ndarray:
     return cr
 
 
-def _fill_records(records: np.ndarray, vertices: np.ndarray, triangles: np.ndarray) -> None:
+def _ignore(start: int, stop: int) -> None:
+    """A ``done`` or ``release`` callback with nothing to do."""
+
+
+def _fill_records(records: np.ndarray, vertices: np.ndarray, triangles: np.ndarray,
+                  done=_ignore) -> None:
     """Fill binary records, ``_CHUNK // 2`` at a time: corners, unit normals and a zero attribute.
 
     The float64 corners are rounded to float32 as they are stored.
+    ``done(start, stop)`` is told the records of each block once it is filled.
     """
     step = max(_CHUNK // 2, 1)
     for start in range(0, len(records), step):
@@ -160,10 +166,11 @@ def _fill_records(records: np.ndarray, vertices: np.ndarray, triangles: np.ndarr
         block["corners"] = vertices[triangles[start : start + step]]
         block["normal"] = _unit_normals(block["corners"])
         block["attribute"] = 0
+        done(start, start + len(block))
 
 
 def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
-    """Serialize to STL bytes, returned as a ``bytearray`` in both modes, or in ``out``.
+    """Serialize to STL bytes, returned as a ``bytearray`` in both modes, or write them to ``out``.
 
     Binary layout: 80-byte header tagged ``identispace-forge``, little-endian
     uint32 triangle count, then 50 bytes per triangle (normal, three vertices
@@ -178,11 +185,15 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
     identical meshes.  A vertex that is not finite once rounded to float32
     raises ``ValueError``.
 
-    ``out``, a writable buffer of exactly 84 + 50*n bytes such as a shared
-    mapping of the output file, is filled with the binary file in place of a
-    new ``bytearray`` and returned; whatever it held before is overwritten.
-    ASCII mode with ``out``, or an ``out`` of another length, raises
-    ``ValueError``.
+    ``out``, a regular file opened read-write (``"w+b"``) whose first
+    84 + 50*n bytes are allocated (``os.posix_fallocate``), receives the
+    binary file in those bytes.  They are mapped shared and filled in place,
+    and each block's whole pages are dropped once they are filled: their
+    bytes stay in the page cache, so the file is not held resident.  The
+    mapping is returned; its ``len()`` is the file size.  Where the file
+    cannot be mapped (a write-only descriptor, a file system without shared
+    mappings, fewer bytes allocated), the ``bytearray`` is written to ``out``
+    whole and returned.  ASCII mode with ``out`` raises ``ValueError``.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
 
@@ -193,8 +204,6 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
         raise ValueError("triangle count exceeds the 32-bit STL limit")
     if out is not None and mode != "binary":
         raise ValueError("out= takes the binary file only")
-    if out is not None and len(out) != 84 + 50 * n:
-        raise ValueError(f"out holds {len(out)} bytes; {n} triangles need {84 + 50 * n}")
     mesh.check_indices()
     step = max(_CHUNK, 1)
     with np.errstate(over="ignore"):
@@ -202,16 +211,23 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
             if not np.isfinite(mesh.vertices[start : start + step].astype("<f4")).all():
                 raise ValueError("a vertex is not finite in float32, the STL coordinate type")
 
-    binary = bytearray(84 + 50 * n) if out is None else out
+    mapping = None if out is None else _map_file(out, 84 + 50 * n)
+    binary = bytearray(84 + 50 * n) if mapping is None else mapping
+    release = _ignore if mapping is None else _drop_pages(mapping)
     binary[:80] = STL_HEADER_TAG.ljust(80, b"\0")
     struct.pack_into("<I", binary, 80, n)
     records = np.frombuffer(binary, _RECORD, count=n, offset=84)
     half = n // 2
     with ThreadPoolExecutor(1) as pool:
-        second = pool.submit(_fill_records, records[half:], mesh.vertices, mesh.triangles[half:])
-        _fill_records(records[:half], mesh.vertices, mesh.triangles[:half])
+        second = pool.submit(_fill_records, records[half:], mesh.vertices, mesh.triangles[half:],
+                             lambda start, stop: release(84 + 50 * (half + start),
+                                                         84 + 50 * (half + stop)))
+        _fill_records(records[:half], mesh.vertices, mesh.triangles[:half],
+                      lambda start, stop: release(84 + 50 * start, 84 + 50 * stop))
         second.result()
     if mode == "binary":
+        if out is not None and mapping is None:
+            out.write(binary)
         return binary
 
     name = STL_HEADER_TAG.decode("ascii")
@@ -227,8 +243,19 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
     return text
 
 
-def _ignore(start: int, stop: int) -> None:
-    """A ``done`` or ``release`` callback with nothing to do."""
+def _map_file(fh, size: int):
+    """A shared read-write mapping of the first ``size`` bytes of the file ``fh``, or None.
+
+    None means that ``fh`` cannot be mapped so: a write-only descriptor, a
+    file system without shared mappings, a file of fewer bytes, or an object
+    with no descriptor at all.
+    """
+    import mmap
+
+    try:
+        return mmap.mmap(fh.fileno(), size)
+    except (OSError, ValueError):
+        return None
 
 
 def _page_release(data):
@@ -240,6 +267,16 @@ def _page_release(data):
     """
     if not hasattr(data, "madvise") or not memoryview(data).readonly:
         return _ignore
+    return _drop_pages(data)
+
+
+def _drop_pages(mapping):
+    """``release(start, stop)``, dropping the whole pages of bytes [start, stop) of ``mapping``.
+
+    Only for a read-only or a shared mapping of a file, whose bytes stay in
+    the page cache: a dropped page of a private or an anonymous mapping
+    loses what was written to it.
+    """
     import mmap
 
     page = mmap.PAGESIZE
@@ -247,7 +284,7 @@ def _page_release(data):
     def release(start: int, stop: int) -> None:
         start, stop = -(-start // page) * page, stop // page * page
         if stop > start:
-            data.madvise(mmap.MADV_DONTNEED, start, stop - start)
+            mapping.madvise(mmap.MADV_DONTNEED, start, stop - start)
 
     return release
 
@@ -585,70 +622,98 @@ def _components(lo: np.ndarray, hi: np.ndarray, nv: int) -> np.ndarray:
     at most ``log2(nv) + 1`` jumps.  In practice the rounds are few: 1 on the
     built default torus, 3 on its read-back and 13 or 14 on a path of 2**20
     vertices in random order.
+
+    The roots of the ends are gathered ``_CHUNK`` edges at a time, and the
+    edges kept are packed to the front of ``hi`` and of one int32 array that
+    the first round allocates for the ``lo`` ends, which are kept.  So beside
+    ``lo``, ``hi`` and the labels, the search holds 4 bytes per edge and one
+    block's temporaries, and makes no intp copy of an edge array.
     """
+    step = max(_CHUNK, 1)
     parent = np.arange(nv, dtype=np.int32)
     a, b = lo, hi  # every vertex is its own root, and lo < hi
     while len(a):
         np.minimum.at(parent, b, a)
         parent = _roots(parent)
-        a, b = parent[a], np.take(parent, b, out=b)
-        keep = a != b
-        a, b = a[keep], b[keep]
-        a, b = np.minimum(a, b), np.maximum(a, b, out=b)
+        ends, a = a, (np.empty_like(lo) if a is lo else a)  # lo is kept
+        kept = 0
+        for at in range(0, len(b), step):  # kept <= at, so no block is written before it is read
+            ra, rb = parent[ends[at : at + step]], parent[b[at : at + step]]
+            keep = ra != rb
+            ra, rb = ra[keep], rb[keep]
+            np.minimum(ra, rb, out=a[kept : kept + len(ra)])
+            np.maximum(ra, rb, out=b[kept : kept + len(ra)])
+            kept += len(ra)
+        a, b = a[:kept], b[:kept]
     return parent
 
 
-def _edge_runs(keys: np.ndarray, forward: np.ndarray, first: np.ndarray) -> list:
-    """The runs of one part of the sorted edge-use keys, cut at a run start.
+def _count_edges(keys: np.ndarray) -> int:
+    """The edges among one part's sorted edge-use keys, counted ``_CHUNK`` uses at a time.
 
-    Fills the int8 direction bit of each use into ``forward`` and the bool
-    run flags into ``first``, and shifts ``keys`` right in place.  Returns
-    ``[forward, starts, ukeys]``: the direction bits, the start of each
-    edge's run and the edge keys.
+    Two uses are of one edge when their keys differ at most in the direction bit.
     """
-    np.bitwise_and(keys, 1, out=forward)
-    keys >>= 1
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return [forward, starts, keys[starts]]
+    step = max(_CHUNK, 1)
+    edges = int(len(keys) > 0)
+    for at in range(0, len(keys) - 1, step):
+        k = keys[at : at + step + 1]
+        edges += int(np.count_nonzero((k[1:] ^ k[:-1]) > 1))
+    return edges
 
 
-def _grade_edges(runs: list, nv: int, lo: np.ndarray, hi: np.ndarray, grade: np.ndarray) -> None:
-    """Fill one part's ``lo`` and ``hi`` ends and one-byte ``grade`` from its ``_edge_runs``.
+def _grade_edges(keys: np.ndarray, nv: int, lo: np.ndarray, hi: np.ndarray,
+                 grade: np.ndarray) -> None:
+    """Fill one part's ``lo`` and ``hi`` ends and one-byte ``grade`` from its sorted edge-use keys.
 
-    The list is emptied.  The use count and net direction of each edge exist
-    only for ``_CHUNK`` edges at a time.  Grades: 0 manifold, 1 balanced but
-    not manifold, 2 unbalanced, 3 boundary (count 1).
+    The keys go in blocks of about ``_CHUNK // 2`` uses, each ending where
+    an edge's uses end, so the direction bits, run starts, use counts and net
+    directions exist only for one block at a time, and the block temporaries
+    of the two threads that grade a mesh's parts add up to about one
+    ``_CHUNK`` block.  Grades: 0 manifold, 1 balanced but not manifold, 2
+    unbalanced, 3 boundary (count 1).
     """
-    forward, starts, ukeys = runs
-    runs.clear()
-    for at in range(0, len(starts), _CHUNK):
-        run = starts[at : at + _CHUNK]
-        end = starts[at + _CHUNK] if at + _CHUNK < len(starts) else len(forward)
-        count = np.diff(run, append=end)
-        net = np.add.reduceat(forward[run[0] : end], run - run[0], dtype=np.int64)
+    step = max(_CHUNK // 2, 1)
+    start = edge = 0
+    while start < len(keys):
+        # the end of the run of the block's last use, whose edge's largest key is key | 1
+        stop = int(np.searchsorted(keys, keys[min(start + step, len(keys)) - 1] | 1, side="right"))
+        k = keys[start:stop]
+        ends = k >> 1
+        first = np.empty(len(k), dtype=bool)
+        first[0] = True
+        np.not_equal(ends[1:], ends[:-1], out=first[1:])
+        run = np.flatnonzero(first)
+        count = np.diff(run, append=len(k))
+        net = np.add.reduceat(k & 1, run)
         net *= 2
         net -= count
-        block = grade[at : at + _CHUNK]
+        block = grade[edge : edge + len(run)]
         np.not_equal(count, 2, out=block.view(bool))
         block[net != 0] = 2
         block[count == 1] = 3
-    del forward, starts
-    for at in range(0, len(ukeys), _CHUNK):  # in blocks: divmod makes two int64 arrays
-        lo[at : at + _CHUNK], hi[at : at + _CHUNK] = np.divmod(ukeys[at : at + _CHUNK], nv)
+        lo[edge : edge + len(run)], hi[edge : edge + len(run)] = np.divmod(ends[run], nv)
+        start, edge = stop, edge + len(run)
 
 
 def _extent(mesh: TriangleMesh, referenced: np.ndarray):
     """The bounding box of the vertices (zeros without triangles); marks the vertices in use.
 
-    The indices are cast to intp ``_CHUNK`` triangles at a time.
+    The indices are cast to intp ``_CHUNK`` triangles at a time.  The box is
+    reduced a column at a time, three times faster than across the rows of
+    the (N,3) array.  A zero or NaN bound is reduced across the rows again,
+    because which zero or which NaN a reduction returns depends on its order;
+    any other bound has one bit pattern in either order.
     """
     step = max(_CHUNK, 1)
     for at in range(0, mesh.triangle_count, step):
         referenced[mesh.triangles[at : at + step].ravel()] = True
-    vertices = mesh.vertices
-    return (vertices.min(axis=0), vertices.max(axis=0)) if mesh.triangle_count else np.zeros((2, 3))
+    if not mesh.triangle_count:
+        return np.zeros((2, 3))
+    columns = mesh.vertices.T
+    box = np.array([[column.min() for column in columns], [column.max() for column in columns]])
+    if not (np.abs(box) > 0).all():  # a zero or a NaN
+        box = np.array([mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)])
+    return box
 
 
 def _vertex_face_counts(comp: np.ndarray, ncomp: int, tris: np.ndarray) -> tuple:
@@ -679,16 +744,18 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     * The worker counts the degenerate triangles while one sort on the
       calling thread groups the uses of each undirected edge into one run.
     * The sorted keys are cut at the first use of the middle use's edge, and
-      each thread finds the runs of its part.  Beside its 8-byte key, an edge
-      use costs a byte of direction and a byte of run flag.
-    * Once every key is freed, each thread grades the edges of its part into
-      one byte each and splits them into int32 ``lo`` and ``hi`` ends, all
-      written at the part's offset in shared arrays.  The use count and net
-      direction of an edge exist only ``_CHUNK`` edges at a time.
+      each thread counts the edges of its part.
+    * Each thread then grades the edges of its part into one byte each and
+      splits them into int32 ``lo`` and ``hi`` ends, all written at the
+      part's offset in arrays allocated on the calling thread.  It goes in
+      blocks of about ``_CHUNK // 2`` uses, each ending where an edge's uses
+      end, so the only whole-mesh arrays are the 8-byte key of each use and
+      the 9 bytes of each edge.
     * ``_components`` labels each vertex with the smallest vertex of its
-      component, in numpy alone, while the worker takes the bounding box and
-      marks the vertices in use.  Then the worker counts the vertices and
-      faces per component while the calling thread counts the edges.
+      component, in numpy alone and ``_CHUNK`` edges at a time, while the
+      worker takes the bounding box and marks the vertices in use.  Then the
+      worker counts the vertices and faces per component while the calling
+      thread counts the edges.
 
     Components are numbered in the order of their smallest vertex, and each
     edge counts toward the component of its ``lo`` end.
@@ -712,22 +779,18 @@ def validate(mesh: TriangleMesh) -> MeshReport:
         keys = keys[np.searchsorted(keys, 0) :]
         # the first use of the middle use's edge, so that no run is cut
         mid = int(np.searchsorted(keys, keys[len(keys) // 2] & ~1)) if len(keys) else 0
-        # the per-use arrays are allocated on this thread and filled a part on each:
+        upper = pool.submit(_count_edges, keys[mid:])
+        split = _count_edges(keys[:mid])
+        edges = split + upper.result()
+        # the per-edge arrays are allocated on this thread and filled a part on each:
         # glibc keeps resident whatever a worker thread's heap once held
-        forward = np.empty(len(keys), dtype=np.int8)
-        first = np.empty(len(keys), dtype=bool)
-        upper = pool.submit(_edge_runs, keys[mid:], forward[mid:], first[mid:])
-        lower = _edge_runs(keys[:mid], forward[:mid], first[:mid])
-        upper = upper.result()
-        del keys, first, forward
-        split = len(lower[2])
-        edges = split + len(upper[2])
         lo = np.empty(edges, dtype=np.int32)
         hi = np.empty(edges, dtype=np.int32)
         grade = np.empty(edges, dtype=np.uint8)
-        graded = pool.submit(_grade_edges, upper, nv, lo[split:], hi[split:], grade[split:])
-        _grade_edges(lower, nv, lo[:split], hi[:split], grade[:split])
+        graded = pool.submit(_grade_edges, keys[mid:], nv, lo[split:], hi[split:], grade[split:])
+        _grade_edges(keys[:mid], nv, lo[:split], hi[:split], grade[:split])
         graded.result()
+        del keys
 
         referenced = np.zeros(nv, dtype=bool)
         bbox = pool.submit(_extent, mesh, referenced)

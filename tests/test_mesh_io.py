@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import mmap
 import struct
 import sys
@@ -307,13 +308,18 @@ def read_only_mapping(path) -> mmap.mmap:
         return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def stl_flavours() -> dict:
-    """One mesh of 10 capsules (2 880 triangles, 36 pages in binary) in four spellings."""
+def ten_capsules() -> TriangleMesh:
+    """One mesh of 10 capsules: 2 880 triangles, 36 pages in binary."""
     rng = np.random.default_rng(19)
     meshes = [one_capsule(*rng.normal(size=(2, 3)), 0.4, 12) for _ in range(10)]
     offsets = np.cumsum([0] + [len(m.vertices) for m in meshes[:-1]])
-    mesh = TriangleMesh(np.concatenate([m.vertices for m in meshes]),
+    return TriangleMesh(np.concatenate([m.vertices for m in meshes]),
                         np.concatenate([m.triangles + at for m, at in zip(meshes, offsets)]))
+
+
+def stl_flavours() -> dict:
+    """``ten_capsules`` in four spellings."""
+    mesh = ten_capsules()
     binary, text = bytes(write_stl(mesh)), bytes(write_stl(mesh, "ascii"))
     return {
         "binary": binary,
@@ -385,41 +391,94 @@ def test_only_a_read_only_mapping_has_pages_to_release(tmp_path):
         buffer.close()
 
 
-def prefilled_buffers(tmp_path, size: int) -> dict:
-    """Writable buffers of ``size`` bytes, each filled with 0xFF."""
+def stl_file(tmp_path, size: int):
+    """A file of ``size`` bytes of 0xFF, opened read-write as the CLI opens its output."""
     path = tmp_path / "out.stl"
     path.write_bytes(b"\xff" * size)
-    with open(path, "r+b") as fh:
-        shared = mmap.mmap(fh.fileno(), size)
-    anonymous = mmap.mmap(-1, size)
-    anonymous[:] = b"\xff" * size
-    return {"bytearray": bytearray(b"\xff" * size),
-            "memoryview": memoryview(bytearray(b"\xff" * size)),
-            "anonymous mapping": anonymous,
-            "file mapping": shared}
+    return open(path, "r+b")
 
 
 @pytest.mark.parametrize("chunk", [2, mesh_io._CHUNK])
-def test_write_into_a_buffer_equals_write(tmp_path, monkeypatch, chunk):
+def test_write_into_a_file_equals_write(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
     mesh = one_capsule((0, 1, 2), (3, -1, 0.5), 0.6, 9)
     expected = bytes(write_stl(mesh))
-    buffers = prefilled_buffers(tmp_path, len(expected))
-    for name, buffer in buffers.items():
-        assert write_stl(mesh, "binary", out=buffer) is buffer, name
-        assert bytes(buffer) == expected, name  # every attribute is 0 again
-    buffers["file mapping"].close()
+    with stl_file(tmp_path, len(expected)) as fh:
+        mapping = write_stl(mesh, "binary", out=fh)
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == len(expected)
+    assert mapping[:] == expected  # every attribute is 0 again; dropped pages read back
+    mapping.close()
     assert (tmp_path / "out.stl").read_bytes() == expected
 
 
-def test_write_into_a_buffer_rejects_a_wrong_size_or_ascii(tmp_path):
+def test_mapped_write_releases_what_it_has_filled(tmp_path, monkeypatch):
+    mesh = ten_capsules()
+    expected = bytes(write_stl(mesh))
+    released, drop_pages = [], mesh_io._drop_pages
+
+    def recorded(mapping):
+        release = drop_pages(mapping)
+
+        def record(start, stop):
+            released.append((threading.current_thread() is threading.main_thread(), start, stop))
+            release(start, stop)
+        return record
+
+    monkeypatch.setattr(mesh_io, "_CHUNK", 512)  # blocks of 256 records, each past three pages
+    monkeypatch.setattr(mesh_io, "_drop_pages", recorded)
+    with stl_file(tmp_path, len(expected)) as fh:
+        write_stl(mesh, "binary", out=fh).close()
+    assert (tmp_path / "out.stl").read_bytes() == expected
+    n, half = 2880, 1440  # each half's blocks, from its own thread
+    blocks = [(True, at, min(at + 256, half)) for at in range(0, half, 256)]
+    blocks += [(False, at, min(at + 256, n)) for at in range(half, n, 256)]
+    assert sorted(released) == sorted((caller, 84 + 50 * start, 84 + 50 * stop)
+                                      for caller, start, stop in blocks)
+
+
+def test_unmappable_file_is_written_whole(tmp_path):
+    # a write-only descriptor, a file with fewer bytes than the mesh needs and a
+    # file object without a descriptor are written with one write
     mesh = tetrahedron()
-    size = 84 + 50 * 4
-    for out, mode in ((bytearray(size - 1), "binary"), (bytearray(size + 50), "binary"),
-                      (bytearray(size), "ascii")):
+    expected = bytes(write_stl(mesh))
+    for name, mode in (("write-only.stl", "wb"), ("empty.stl", "w+b")):
+        with open(tmp_path / name, mode) as fh:
+            data = write_stl(mesh, "binary", out=fh)
+        assert isinstance(data, bytearray) and data == expected
+        assert (tmp_path / name).read_bytes() == expected
+    memory = io.BytesIO()
+    assert write_stl(mesh, "binary", out=memory) == expected
+    assert memory.getvalue() == expected
+
+
+def test_write_into_a_file_rejects_ascii(tmp_path):
+    with stl_file(tmp_path, 84 + 50 * 4) as fh:
         with pytest.raises(ValueError, match="out"):
-            write_stl(mesh, mode, out=out)
-        assert out == bytearray(len(out))  # nothing written
+            write_stl(tetrahedron(), "ascii", out=fh)
+    assert (tmp_path / "out.stl").read_bytes() == b"\xff" * (84 + 50 * 4)  # nothing written
+
+
+def test_read_keeps_every_byte_of_a_writable_buffer(tmp_path, monkeypatch):
+    # the pages of a buffer that holds its own bytes are never dropped: a dropped
+    # page of an anonymous or a private file mapping would lose them
+    data = stl_flavours()["binary"]
+    path = tmp_path / "m.stl"
+    path.write_bytes(b"\xff" * len(data))
+    with open(path, "rb") as fh:
+        private = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    anonymous = mmap.mmap(-1, len(data))
+    monkeypatch.setattr(mesh_io, "_CHUNK", 512)
+    expected = read_stl(data)
+    buffers = {"bytearray": bytearray(data), "memoryview": memoryview(bytearray(data)),
+               "anonymous mapping": anonymous, "private mapping": private}
+    for name, buffer in buffers.items():
+        buffer[:] = data
+        back = read_stl(buffer)
+        assert np.array_equal(back.vertices.view("<u8"), expected.vertices.view("<u8")), name
+        assert bytes(buffer) == data, name
+    anonymous.close()
+    private.close()
+    assert path.read_bytes() == b"\xff" * len(data)
 
 
 @pytest.mark.parametrize("mode", ["binary", "ascii"])
@@ -966,24 +1025,26 @@ SPLIT_MESHES = {
 @pytest.mark.parametrize("chunk", [2, 7])
 @pytest.mark.parametrize("mesh", SPLIT_MESHES.values(), ids=SPLIT_MESHES)
 def test_validate_splits_edge_runs_between_threads(monkeypatch, chunk, mesh):
-    runs, grade, calls = mesh_io._edge_runs, mesh_io._grade_edges, []
+    count, grade, calls = mesh_io._count_edges, mesh_io._grade_edges, []
 
-    def recorded_runs(keys, *out):
-        calls.append(("runs", threading.current_thread() is threading.main_thread(), len(keys)))
-        return runs(keys, *out)
+    def recorded_count(keys):
+        calls.append(("count", threading.current_thread() is threading.main_thread(), len(keys)))
+        return count(keys)
 
-    def recorded_grade(parts, nv, lo, hi, grades):
-        calls.append(("grade", threading.current_thread() is threading.main_thread(), len(lo)))
-        grade(parts, nv, lo, hi, grades)
+    def recorded_grade(keys, nv, lo, hi, grades):
+        calls.append(("grade", threading.current_thread() is threading.main_thread(), len(keys),
+                      len(lo)))
+        grade(keys, nv, lo, hi, grades)
 
     monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
-    monkeypatch.setattr(mesh_io, "_edge_runs", recorded_runs)
+    monkeypatch.setattr(mesh_io, "_count_edges", recorded_count)
     monkeypatch.setattr(mesh_io, "_grade_edges", recorded_grade)
     expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
     assert report_fields(validate(mesh)) == expected
     (lower_uses, lower_edges), (upper_uses, upper_edges) = edge_use_split(mesh.triangles)
-    assert sorted(calls) == [("grade", False, upper_edges), ("grade", True, lower_edges),
-                             ("runs", False, upper_uses), ("runs", True, lower_uses)]
+    assert sorted(calls) == [("count", False, upper_uses), ("count", True, lower_uses),
+                             ("grade", False, upper_uses, upper_edges),
+                             ("grade", True, lower_uses, lower_edges)]
 
 
 def test_concurrent_validates_agree(monkeypatch):
@@ -1029,7 +1090,7 @@ def test_worker_thread_failure_reaches_caller():
 
     for mode in ("binary", "ascii"):
         fails_on_worker(lambda: write_stl(mesh, mode), mesh_io, "_fill_records")
-    for name in ("_edge_keys", "_count_degenerate", "_edge_runs", "_grade_edges", "_extent"):
+    for name in ("_edge_keys", "_count_degenerate", "_count_edges", "_grade_edges", "_extent"):
         fails_on_worker(lambda: validate(mesh), mesh_io, name)
     fails_on_worker(lambda: one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, 6),
                     wireframe, "_tessellate_blocks")
@@ -1044,6 +1105,30 @@ def test_bbox():
     report = validate(tetrahedron())
     assert report.bbox_min == Vec3(0.0, 0.0, 0.0)
     assert report.bbox_max == Vec3(1.0, 1.0, 1.0)
+
+
+def float64_bits():
+    """Float64 values of any bit pattern, signed zeros and NaNs of any sign and payload among them."""
+    special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan])
+    bits = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64)))
+    return st.one_of(special, st.floats(), bits)
+
+
+# column by column, the max of these 17 rows is 0.0; across the rows it is -0.0
+ZERO_SIGN_ROWS = [(c, c, c) for c in (-1.0, -0.0, -0.0, -1.0, -1.0, -0.0, -0.0, 0.0, -1.0, 0.0,
+                                      0.0, 0.0, -1.0, -0.0, -0.0, -1.0, -1.0)]
+
+
+@given(st.lists(st.tuples(float64_bits(), float64_bits(), float64_bits()), min_size=1,
+                max_size=200))
+@example(ZERO_SIGN_ROWS)
+@example([(np.nan, 1.0, 0.0), (-np.nan, -1.0, -0.0)])
+def test_bbox_bits_are_those_of_the_row_wise_reduction(rows):
+    vertices = np.array(rows, dtype=np.float64)
+    box = mesh_io._extent(TriangleMesh(vertices, np.zeros((1, 3), np.int32)),
+                          np.zeros(len(vertices), dtype=bool))
+    expected = np.array([vertices.min(axis=0), vertices.max(axis=0)])
+    assert np.asarray(box).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 # --- memory ------------------------------------------------------------------
@@ -1074,9 +1159,9 @@ def peak_bytes_per_triangle(fn, arg) -> float:
 
 
 def test_validate_built_mesh_peak(torus_6x12):
-    # np.diff's appended copy of the run starts, an int64 cast of the direction
-    # bits and ukeys // nv beside ukeys % nv reach 88
-    assert peak_bytes_per_triangle(validate, torus_6x12) < 79
+    # the whole-part run starts and edge keys beside the sorted keys, a byte of
+    # direction and a byte of run flag per use reach 54
+    assert peak_bytes_per_triangle(validate, torus_6x12) < 50
 
 
 def test_binary_write_peak(torus_6x12):
@@ -1096,6 +1181,25 @@ def test_read_peak(torus_6x12):
 
 
 def test_validate_read_back_peak(torus_6x12):
-    # the same validate temporaries reach 61 on the welded mesh
+    # the same whole-part run arrays reach 40 on the welded mesh
     back = read_stl(bytes(write_stl(torus_6x12)))
-    assert peak_bytes_per_triangle(validate, back) < 57
+    assert peak_bytes_per_triangle(validate, back) < 38
+
+
+def test_components_gather_in_blocks():
+    # an intp copy of each edge index for np.take and a buffer for its aliased
+    # out reach 20 bytes per edge on this graph
+    rng = np.random.default_rng(20)
+    nv = 1 << 18
+    ends = rng.integers(0, nv, size=(2, 1 << 20), dtype=np.int32)
+    ends = ends[:, ends[0] != ends[1]]
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    del ends
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mesh_io._components(lo, hi, nv)
+        peak = tracemalloc.get_traced_memory()[1] / len(lo)
+    finally:
+        tracemalloc.stop()
+    assert peak < 10
