@@ -47,6 +47,7 @@ STL_TRIANGLE_LIMIT = 2**32  # the binary header stores the count as uint32
 _RECORD = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attribute", "<u2")])
 _XYZ = np.dtype([("xyz", "<f8", 3)])  # an ASCII vertex row: loadtxt demands exactly 3 numbers
 _CHUNK = 1 << 16  # triangles per block for memory-bounded passes
+_BLOCK = 16 * _CHUNK  # triangles that validate checks at a time, where the mesh can be cut
 _VERTEX_LIMIT = 2**31  # welded vertices are indexed by int32
 _FACET = (  # filled with values already formatted by "%.9g"
     "  facet normal %s %s %s\n    outer loop\n"
@@ -695,18 +696,14 @@ def _grade_edges(keys: np.ndarray, nv: int, lo: np.ndarray, hi: np.ndarray,
         start, edge = stop, edge + len(run)
 
 
-def _extent(mesh: TriangleMesh, referenced: np.ndarray):
-    """The bounding box of the vertices (zeros without triangles); marks the vertices in use.
+def _extent(mesh: TriangleMesh) -> np.ndarray:
+    """The bounding box of all the vertices (zeros without triangles).
 
-    The indices are cast to intp ``_CHUNK`` triangles at a time.  The box is
-    reduced a column at a time, three times faster than across the rows of
-    the (N,3) array.  A zero or NaN bound is reduced across the rows again,
-    because which zero or which NaN a reduction returns depends on its order;
-    any other bound has one bit pattern in either order.
+    The box is reduced a column at a time, three times faster than across
+    the rows of the (N,3) array.  A zero or NaN bound is reduced across the
+    rows again, because which zero or which NaN a reduction returns depends
+    on its order; any other bound has one bit pattern in either order.
     """
-    step = max(_CHUNK, 1)
-    for at in range(0, mesh.triangle_count, step):
-        referenced[mesh.triangles[at : at + step].ravel()] = True
     if not mesh.triangle_count:
         return np.zeros((2, 3))
     columns = mesh.vertices.T
@@ -716,112 +713,213 @@ def _extent(mesh: TriangleMesh, referenced: np.ndarray):
     return box
 
 
-def _vertex_face_counts(comp: np.ndarray, ncomp: int, tris: np.ndarray) -> tuple:
-    """Vertices and faces per component; ``comp`` is ``ncomp`` at unreferenced vertices.
+def _cuts(tris: np.ndarray) -> list:
+    """Where ``validate`` cuts the triangles into blocks that share no vertex.
 
-    A face counts toward the component of its first corner.  The counts are
-    added ``_CHUNK`` vertices and faces at a time, so no whole-mesh gather or
-    intp cast is made.
+    A cut before triangle p is valid when every vertex index of the triangles
+    before it is below every index from it on.  Each cut returned is the
+    first valid one at least ``_BLOCK`` triangles after the last (or after
+    the start), so the blocks are at least ``_BLOCK`` triangles long, all but
+    the last.  The smallest and largest index of each ``_CHUNK`` of
+    triangles are taken first.  A cut can fall in a chunk only where the
+    largest index of the chunks before it is below the smallest of the
+    chunks after it.  Only such chunks are scanned row by row, and only from
+    the one that holds the next wanted position on.
+    """
+    step, block = max(_CHUNK, 1), max(_BLOCK, 1)
+    if len(tris) <= block:
+        return []
+    starts = range(0, len(tris), step)
+    low = np.array([tris[at : at + step].min() for at in starts], dtype=np.int64)
+    high = np.array([tris[at : at + step].max() for at in starts], dtype=np.int64)
+    # the largest index of the chunks before each chunk, and the smallest of those after it
+    before = np.concatenate([[-1], np.maximum.accumulate(high)[:-1]])
+    after = np.concatenate([np.minimum.accumulate(low[::-1])[::-1][1:], [_VERTEX_LIMIT]])
+    cuts, wanted = [], block
+    for chunk in np.flatnonzero(before < after):
+        at = int(starts[chunk])
+        if wanted >= len(tris):
+            break
+        if at + step <= wanted:
+            continue
+        a, b, c = tris[at : at + step].T  # a column at a time: axis=1 reductions are slow
+        # the largest index before each row, and the smallest from it on
+        below = np.maximum.accumulate(np.concatenate([before[chunk : chunk + 1],
+                                                      np.maximum(np.maximum(a, b), c)]))
+        above = np.minimum.accumulate(np.concatenate([np.minimum(np.minimum(a, b), c),
+                                                      after[chunk : chunk + 1]])[::-1])[::-1]
+        valid = at + np.flatnonzero(below[:-1] < above[:-1])
+        k = int(np.searchsorted(valid, wanted))
+        while k < len(valid):
+            cuts.append(int(valid[k]))
+            wanted = cuts[-1] + block
+            k = int(np.searchsorted(valid, wanted))
+    return cuts
+
+
+def _mark_referenced(tris: np.ndarray, base: int, referenced: np.ndarray) -> None:
+    """Mark in ``referenced``, which starts at vertex ``base``, the vertices of ``tris``.
+
+    The indices are shifted and cast to intp ``_CHUNK`` triangles at a time.
+    """
+    step = max(_CHUNK, 1)
+    for at in range(0, len(tris), step):
+        referenced[tris[at : at + step].ravel() - base] = True
+
+
+def _vertex_face_counts(comp: np.ndarray, ncomp: int, tris: np.ndarray, base: int) -> tuple:
+    """Vertices and faces per component; ``comp`` starts at vertex ``base``.
+
+    ``comp`` is ``ncomp`` at unreferenced vertices.  A face counts toward the
+    component of its first corner.  The counts are added ``_CHUNK`` vertices
+    and faces at a time, so no whole-block gather or intp cast is made.
     """
     v_per = np.zeros(ncomp + 1, dtype=np.intp)
     f_per = np.zeros(ncomp, dtype=np.intp)
     step = max(_CHUNK, 1)
     for at in range(0, max(len(comp), len(tris)), step):
         np.add.at(v_per, comp[at : at + step], 1)
-        np.add.at(f_per, comp[tris[at : at + step, 0]], 1)
+        np.add.at(f_per, comp[tris[at : at + step, 0] - base], 1)
     return v_per[:ncomp], f_per
+
+
+def _edge_counts(comp: np.ndarray, ncomp: int, lo: np.ndarray, grade: np.ndarray) -> list:
+    """Edges, and unbalanced, non-manifold and boundary edges, per component.
+
+    Each edge counts toward the component of its ``lo`` end.  The counts are
+    added ``_CHUNK`` edges at a time, so no per-edge component array or intp
+    cast of one is made.
+    """
+    counts = [np.zeros(ncomp, dtype=np.intp) for _ in range(4)]
+    every, unbalanced, nonmanifold, boundary = counts
+    step = max(_CHUNK, 1)
+    for at in range(0, len(lo), step):
+        edge_comp = comp[lo[at : at + step]]
+        g = grade[at : at + step]
+        np.add.at(every, edge_comp, 1)
+        np.add.at(unbalanced, edge_comp[g >= 2], 1)
+        np.add.at(nonmanifold, edge_comp[g >= 1], 1)
+        np.add.at(boundary, edge_comp[g == 3], 1)
+    return counts
+
+
+def _check_block(pool, vertices: np.ndarray, tris: np.ndarray, base: int, size: int) -> tuple:
+    """The degenerate triangles and per-component counts of a block that shares no vertex.
+
+    The block's vertices are the ``size`` from vertex ``base`` on.  Returns
+    its degenerate count, then the vertices, edges, faces, unbalanced,
+    non-manifold and boundary edges of each of its components, in the order
+    of their smallest vertex.  The edge keys use the whole mesh's vertex count.
+    """
+    nv = len(vertices)
+    keys = np.empty((len(tris), 3), dtype=np.int64)
+    half = len(tris) // 2
+    filled = pool.submit(_edge_keys, tris[half:], nv, keys[half:])
+    degenerate = pool.submit(_count_degenerate, vertices, tris)  # beside the sort
+    _edge_keys(tris[:half], nv, keys[:half])
+    filled.result()
+    keys = keys.reshape(-1)
+    keys.sort()
+    keys = keys[np.searchsorted(keys, 0) :]
+    # the first use of the middle use's edge, so that no run is cut
+    mid = int(np.searchsorted(keys, keys[len(keys) // 2] & ~1)) if len(keys) else 0
+    upper = pool.submit(_count_edges, keys[mid:])
+    split = _count_edges(keys[:mid])
+    edges = split + upper.result()
+    # the per-edge arrays are allocated on this thread and filled a part on each:
+    # glibc keeps resident whatever a worker thread's heap once held
+    lo = np.empty(edges, dtype=np.int32)
+    hi = np.empty(edges, dtype=np.int32)
+    grade = np.empty(edges, dtype=np.uint8)
+    graded = pool.submit(_grade_edges, keys[mid:], nv, lo[split:], hi[split:], grade[split:])
+    _grade_edges(keys[:mid], nv, lo[:split], hi[:split], grade[:split])
+    graded.result()
+    del keys
+
+    lo -= base
+    hi -= base
+    referenced = np.zeros(size, dtype=bool)
+    marked = pool.submit(_mark_referenced, tris, base, referenced)
+    labels = _components(lo, hi, size)
+    del hi
+    marked.result()
+    # a label is its component's smallest vertex, so numbering the referenced
+    # roots in index order keeps the components in the order of that vertex
+    root = (labels == np.arange(size, dtype=np.int32)) & referenced
+    ncomp = int(np.count_nonzero(root))
+    number = np.cumsum(root, dtype=np.int32) - 1
+    number[~root] = ncomp  # an unreferenced vertex is its own label, and not a root
+    comp = number[labels]  # each vertex's component, ncomp if unreferenced
+    del labels, root, number
+    counted = pool.submit(_vertex_face_counts, comp, ncomp, tris, base)
+    e_per, unbalanced_per, nonmanifold_per, boundary_per = _edge_counts(comp, ncomp, lo, grade)
+    v_per, f_per = counted.result()
+    return degenerate.result(), v_per, e_per, f_per, unbalanced_per, nonmanifold_per, boundary_per
 
 
 def validate(mesh: TriangleMesh) -> MeshReport:
     """Report connectivity, closedness and quality; never raises on bad geometry.
 
     Components are computed over shared vertex indices (not spatial
-    proximity), so overlapping-but-unwelded components stay separate.  The
-    work is shared between the calling thread and a one-worker pool:
+    proximity), so overlapping-but-unwelded components stay separate.
 
-    * Each edge use is encoded as ``(lo*nv + hi) << 1 | (runs lo -> hi)``, a
-      half of the triangles on each thread in blocks of ``_CHUNK // 2``.
-    * The worker counts the degenerate triangles while one sort on the
-      calling thread groups the uses of each undirected edge into one run.
+    The triangles are checked in blocks that share no vertex, and so no edge
+    and no component.  ``_cuts`` cuts them about ``_BLOCK`` triangles apart,
+    wherever every vertex index before the cut is below every index after
+    it.  A built mesh, whose capsules each have their own vertex range, can
+    be cut at any capsule's end; a read-back mesh, whose vertices are sorted
+    by their coordinates, cannot, and is one block.  Only one block's edge
+    arrays exist at a time.  The work is shared between the calling thread
+    and a one-worker pool:
+
+    * The worker takes the bounding box of all the vertices while the
+      calling thread finds the cuts.
+    * In each block, each edge use is encoded as ``(lo*nv + hi) << 1 | (runs
+      lo -> hi)``, a half of the block's triangles on each thread in blocks
+      of ``_CHUNK // 2``.
+    * The worker counts the block's degenerate triangles while one sort on
+      the calling thread groups the uses of each undirected edge into one run.
     * The sorted keys are cut at the first use of the middle use's edge, and
       each thread counts the edges of its part.
     * Each thread then grades the edges of its part into one byte each and
       splits them into int32 ``lo`` and ``hi`` ends, all written at the
       part's offset in arrays allocated on the calling thread.  It goes in
       blocks of about ``_CHUNK // 2`` uses, each ending where an edge's uses
-      end, so the only whole-mesh arrays are the 8-byte key of each use and
-      the 9 bytes of each edge.
-    * ``_components`` labels each vertex with the smallest vertex of its
-      component, in numpy alone and ``_CHUNK`` edges at a time, while the
-      worker takes the bounding box and marks the vertices in use.  Then the
-      worker counts the vertices and faces per component while the calling
-      thread counts the edges.
+      end, so the only arrays as long as the block are the 8-byte key of
+      each use and the 9 bytes of each edge.
+    * ``_components`` labels each of the block's vertices with the smallest
+      vertex of its component, in numpy alone and ``_CHUNK`` edges at a
+      time, while the worker marks the vertices in use.  Then the worker
+      counts the vertices and faces per component while the calling thread
+      counts the edges, both ``_CHUNK`` at a time.
 
-    Components are numbered in the order of their smallest vertex, and each
-    edge counts toward the component of its ``lo`` end.
+    Components are numbered in the order of their smallest vertex, block
+    after block, and each edge counts toward the component of its ``lo`` end.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
 
     mesh.check_indices()
     tris = mesh.triangles
-    nv = len(mesh.vertices)
-    nt = len(tris)
-
-    keys = np.empty((nt, 3), dtype=np.int64)
-    half = nt // 2
     with ThreadPoolExecutor(1) as pool:
-        filled = pool.submit(_edge_keys, tris[half:], nv, keys[half:])
-        degenerate = pool.submit(_count_degenerate, mesh.vertices, tris)  # beside the sort
-        _edge_keys(tris[:half], nv, keys[:half])
-        filled.result()
-        keys = keys.reshape(-1)
-        keys.sort()
-        keys = keys[np.searchsorted(keys, 0) :]
-        # the first use of the middle use's edge, so that no run is cut
-        mid = int(np.searchsorted(keys, keys[len(keys) // 2] & ~1)) if len(keys) else 0
-        upper = pool.submit(_count_edges, keys[mid:])
-        split = _count_edges(keys[:mid])
-        edges = split + upper.result()
-        # the per-edge arrays are allocated on this thread and filled a part on each:
-        # glibc keeps resident whatever a worker thread's heap once held
-        lo = np.empty(edges, dtype=np.int32)
-        hi = np.empty(edges, dtype=np.int32)
-        grade = np.empty(edges, dtype=np.uint8)
-        graded = pool.submit(_grade_edges, keys[mid:], nv, lo[split:], hi[split:], grade[split:])
-        _grade_edges(keys[:mid], nv, lo[:split], hi[:split], grade[:split])
-        graded.result()
-        del keys
-
-        referenced = np.zeros(nv, dtype=bool)
-        bbox = pool.submit(_extent, mesh, referenced)
-        labels = _components(lo, hi, nv)
-        del hi
+        bbox = pool.submit(_extent, mesh)  # beside the cut scan and the first block's keys
+        bounds = [0, *_cuts(tris), len(tris)]
+        # a block's vertices run from its smallest index (0 for the first) to the next
+        # block's smallest (nv for the last)
+        firsts = [0, *(int(tris[start:stop].min()) for start, stop in zip(bounds[1:], bounds[2:])),
+                  len(mesh.vertices)]
+        parts = [_check_block(pool, mesh.vertices, tris[start:stop], first, end - first)
+                 for start, stop, first, end in zip(bounds, bounds[1:], firsts, firsts[1:])]
         bbox = bbox.result()
-        # a label is its component's smallest vertex, so numbering the referenced
-        # roots in index order keeps the components in the order of that vertex
-        root = (labels == np.arange(nv, dtype=np.int32)) & referenced
-        ncomp = int(np.count_nonzero(root))
-        number = np.cumsum(root, dtype=np.int32) - 1
-        number[~root] = ncomp  # an unreferenced vertex is its own label, and not a root
-        comp = number[labels]  # each vertex's component, ncomp if unreferenced
-        del labels, root, number
-        counted = pool.submit(_vertex_face_counts, comp, ncomp, tris)
-        edge_comp = comp[lo]  # the component of each edge's lo end
-        del lo
-        e_per = np.bincount(edge_comp, minlength=ncomp)
-        unbalanced_per = np.bincount(edge_comp[grade >= 2], minlength=ncomp)
-        nonmanifold_per = np.bincount(edge_comp[grade >= 1], minlength=ncomp)
-        boundary_per = np.bincount(edge_comp[grade == 3], minlength=ncomp)
-        v_per, f_per = counted.result()
-
-        return MeshReport(
-            component_count=ncomp,
-            watertight_per_component=unbalanced_per == 0,
-            euler_characteristic_per_component=v_per - e_per + f_per,
-            edge_manifold_per_component=nonmanifold_per == 0,
-            boundary_edges_per_component=boundary_per,
-            bbox_min=Vec3(*(float(c) for c in bbox[0])),
-            bbox_max=Vec3(*(float(c) for c in bbox[1])),
-            triangle_count=len(tris),
-            degenerate_count=degenerate.result(),
-        )
+    degenerate, *counts = zip(*parts)
+    v_per, e_per, f_per, unbalanced_per, nonmanifold_per, boundary_per = map(np.concatenate, counts)
+    return MeshReport(
+        component_count=len(v_per),
+        watertight_per_component=unbalanced_per == 0,
+        euler_characteristic_per_component=v_per - e_per + f_per,
+        edge_manifold_per_component=nonmanifold_per == 0,
+        boundary_edges_per_component=boundary_per,
+        bbox_min=Vec3(*(float(c) for c in bbox[0])),
+        bbox_max=Vec3(*(float(c) for c in bbox[1])),
+        triangle_count=len(tris),
+        degenerate_count=sum(degenerate),
+    )

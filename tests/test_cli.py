@@ -253,6 +253,29 @@ def test_generate_ascii_mode(tmp_path, capsys):
     assert out.read_bytes().startswith(b"solid identispace-forge")
 
 
+@pytest.mark.parametrize("surface", ["torus", "klein", "roman"])
+def test_generate_does_not_depend_on_validate_blocks(tmp_path, capsys, monkeypatch, surface):
+    # a draft grid; roman with lat-ribs 4 has sphere struts among its capsules
+    out = tmp_path / "m.stl"
+    argv = ["generate", "--surface", surface, "--lat-ribs", "4", "--long-ribs", "8",
+            "--outer-density", "2", "--inner-density", "2", "--resolution", "6",
+            "--output", str(out)]
+    cuts, seen = mesh_io._cuts, []
+
+    def recorded(tris):
+        seen.append(cuts(tris))
+        return seen[-1]
+
+    monkeypatch.setattr(mesh_io, "_cuts", recorded)
+    runs = []
+    for block in (mesh_io._BLOCK, 1000):
+        monkeypatch.setattr(mesh_io, "_BLOCK", block)
+        runs.append((*run(argv, capsys), out.read_bytes()))
+    assert seen[0] == [] and len(seen[1]) >= 4  # one block, then several
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].startswith("triangles: ")
+
+
 def test_generate_legacy_overshoot_produces_more_capsules(tmp_path, capsys):
     base = tmp_path / "a.stl"
     legacy = tmp_path / "b.stl"

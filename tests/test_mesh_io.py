@@ -913,6 +913,82 @@ def test_validate_small_blocks_match_oracle(monkeypatch, mesh):
 
 
 @st.composite
+def disjoint_part_meshes(draw):
+    """``report_meshes`` parts laid one after another on their own vertex ranges.
+
+    Runs of 0 to 2 unreferenced vertices lie before each part, and a part may
+    have no triangles.  Sometimes one corner of a later part is set to a
+    vertex of an earlier range: that joins the two parts, so no cut between
+    them is valid.
+    """
+    vertices, triangles, starts = [], [], []  # starts: (first triangle, first vertex) of each part
+    offset = 0
+    for part in draw(st.lists(report_meshes(), min_size=1, max_size=5)):
+        gap = draw(st.integers(min_value=0, max_value=2))
+        vertices += [np.full((gap, 3), -1.0), part.vertices]
+        offset += gap
+        starts.append((sum(len(t) for t in triangles), offset))
+        triangles.append(part.triangles + offset)
+        offset += len(part.vertices)
+    triangles = np.concatenate(triangles)
+    later = [(first, base, stop) for (first, base), (stop, _) in
+             zip(starts, starts[1:] + [(len(triangles), offset)]) if base and stop > first]
+    if later and draw(st.booleans()):
+        first, base, stop = draw(st.sampled_from(later))
+        row = draw(st.integers(min_value=first, max_value=stop - 1))
+        triangles[row, draw(st.integers(min_value=0, max_value=2))] = draw(
+            st.integers(min_value=0, max_value=base - 1))
+    return TriangleMesh(np.concatenate(vertices), triangles)
+
+
+def valid_cuts(tris) -> list:
+    """Every p where each vertex index of the triangles before p is below each from p on."""
+    return [p for p in range(1, len(tris)) if tris[:p].max() < tris[p:].min()]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@given(mesh=disjoint_part_meshes(), block=st.integers(min_value=1, max_value=12))
+@example(mesh=TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int32)), block=1)
+def test_cuts_are_the_first_valid_ones_a_block_apart(chunk, mesh, block):
+    valid = valid_cuts(mesh.triangles)
+    wanted, expected = block, []
+    for cut in valid:
+        if cut >= wanted:
+            expected.append(cut)
+            wanted = cut + block
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+        monkeypatch.setattr(mesh_io, "_BLOCK", block)
+        assert mesh_io._cuts(mesh.triangles) == expected
+        monkeypatch.setattr(mesh_io, "_BLOCK", 1)  # then every valid cut is a cut
+        assert mesh_io._cuts(mesh.triangles) == valid
+
+
+@pytest.mark.parametrize("block, chunk", [(1, 1), (3, 2)])
+@given(mesh=disjoint_part_meshes())
+def test_validate_in_blocks_matches_oracle(block, chunk, mesh):
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mesh_io, "_BLOCK", block)
+        monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+        assert report_fields(validate(mesh)) == expected
+
+
+def test_built_mesh_is_cut_where_capsules_end(monkeypatch):
+    # each capsule or sphere strut has its own vertex range, so each ends at a valid cut
+    spec = WireframeSpec(SurfaceParams(SurfaceKind.ROMAN, lat_ribs=4, long_ribs=4), 1, 1,
+                         capsule_resolution=4)
+    plan = plan_segments(spec)
+    mesh = tessellate_segments(plan, spec.capsule_resolution)
+    monkeypatch.setattr(mesh_io, "_BLOCK", 1)
+    cuts = mesh_io._cuts(mesh.triangles)
+    assert cuts == valid_cuts(mesh.triangles)
+    assert len(cuts) + 1 >= len(plan.a)
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    assert report_fields(validate(mesh)) == expected
+
+
+@st.composite
 def vertex_graphs(draw):
     """Up to 12 vertices (none allowed) and up to 20 edges ``lo < hi``, repeats
     allowed, among a drawn subset of them, so some vertices are in no edge."""
@@ -1090,7 +1166,8 @@ def test_worker_thread_failure_reaches_caller():
 
     for mode in ("binary", "ascii"):
         fails_on_worker(lambda: write_stl(mesh, mode), mesh_io, "_fill_records")
-    for name in ("_edge_keys", "_count_degenerate", "_count_edges", "_grade_edges", "_extent"):
+    for name in ("_edge_keys", "_count_degenerate", "_count_edges", "_grade_edges", "_extent",
+                 "_mark_referenced", "_vertex_face_counts"):
         fails_on_worker(lambda: validate(mesh), mesh_io, name)
     fails_on_worker(lambda: one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, 6),
                     wireframe, "_tessellate_blocks")
@@ -1125,8 +1202,7 @@ ZERO_SIGN_ROWS = [(c, c, c) for c in (-1.0, -0.0, -0.0, -1.0, -1.0, -0.0, -0.0, 
 @example([(np.nan, 1.0, 0.0), (-np.nan, -1.0, -0.0)])
 def test_bbox_bits_are_those_of_the_row_wise_reduction(rows):
     vertices = np.array(rows, dtype=np.float64)
-    box = mesh_io._extent(TriangleMesh(vertices, np.zeros((1, 3), np.int32)),
-                          np.zeros(len(vertices), dtype=bool))
+    box = mesh_io._extent(TriangleMesh(vertices, np.zeros((1, 3), np.int32)))
     expected = np.array([vertices.min(axis=0), vertices.max(axis=0)])
     assert np.asarray(box).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
@@ -1184,6 +1260,36 @@ def test_validate_read_back_peak(torus_6x12):
     # the same whole-part run arrays reach 40 on the welded mesh
     back = read_stl(bytes(write_stl(torus_6x12)))
     assert peak_bytes_per_triangle(validate, back) < 38
+
+
+def test_validate_in_blocks_peak(torus_6x12, monkeypatch):
+    # one block, as the default _BLOCK leaves this mesh, reaches 43
+    monkeypatch.setattr(mesh_io, "_BLOCK", 1 << 16)
+    assert len(mesh_io._cuts(torus_6x12.triangles)) >= 3
+    assert peak_bytes_per_triangle(validate, torus_6x12) < 20
+
+
+def test_edge_counts_gather_in_blocks():
+    # a whole-array edge_comp and np.bincount's intp copy of it reach 13 bytes
+    # per edge on these edges
+    rng = np.random.default_rng(21)
+    ncomp, nv = 1 << 10, 1 << 18
+    comp = rng.integers(0, ncomp, size=nv, dtype=np.int32)
+    lo = rng.integers(0, nv, size=1 << 20, dtype=np.int32)
+    grade = rng.integers(0, 4, size=len(lo), dtype=np.uint8)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        counts = mesh_io._edge_counts(comp, ncomp, lo, grade)
+        peak = tracemalloc.get_traced_memory()[1] / len(lo)
+    finally:
+        tracemalloc.stop()
+    edge_comp = comp[lo]
+    expected = [np.bincount(edge_comp[mask], minlength=ncomp)
+                for mask in (grade >= 0, grade >= 2, grade >= 1, grade == 3)]
+    assert [c.dtype for c in counts] == [np.dtype(np.intp)] * 4
+    assert [c.tolist() for c in counts] == [e.tolist() for e in expected]
+    assert peak < 2
 
 
 def test_components_gather_in_blocks():
