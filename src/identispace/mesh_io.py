@@ -577,25 +577,53 @@ def _count_degenerate(vertices: np.ndarray, tris: np.ndarray) -> int:
     return count
 
 
-def _edge_keys(tris: np.ndarray, nv: int, keys: np.ndarray) -> None:
-    """Fill the (T,3) int64 ``keys`` with each edge use as ``(lo*nv + hi) << 1 | (runs lo -> hi)``.
+def _band_counts(tris: np.ndarray, bounds: list) -> list:
+    """How many edge uses of ``tris`` have their ``lo`` end in each band ``[bounds[i], bounds[i+1])``.
 
-    A collapsed edge of a repeated-index triangle gets -1.  The triangles go
-    ``_CHUNK // 2`` at a time, so the block temporaries of the two threads
-    that fill a mesh's halves add up to one ``_CHUNK`` block, and they end
-    with the call, before ``validate`` sorts the keys.
+    Every index of ``tris`` lies in ``[bounds[0], bounds[-1])``, so only the
+    inner bounds are compared, one compare and count per bound, ``_CHUNK // 2``
+    triangles at a time; one band needs no pass at all.
+    """
+    inner = bounds[1:-1]
+    below = [0] * len(inner)  # the uses whose lo end is below each inner bound
+    step = max(_CHUNK // 2, 1)
+    a, b, c = tris.T
+    for start in range(0, len(tris) if inner else 0, step):
+        for u, w in ((a, b), (b, c), (c, a)):
+            lo = np.minimum(u[start : start + step], w[start : start + step])
+            for k, bound in enumerate(inner):
+                below[k] += int(np.count_nonzero(lo < bound))
+    return np.diff([0, *below, 3 * len(tris)]).tolist()
+
+
+def _band_keys(tris: np.ndarray, nv: int, v0: int, v1: int, keys: np.ndarray) -> None:
+    """Fill the int64 ``keys`` with the edge uses of ``tris`` whose ``lo`` end is in ``[v0, v1)``.
+
+    Each use is ``(lo*nv + hi) << 1 | (runs lo -> hi)``, and ``keys`` holds
+    exactly those uses, in no particular order.  A collapsed edge of a
+    repeated-index triangle gets -1.  The triangles go ``_CHUNK // 2`` at a
+    time and an edge column at a time, so the block temporaries of the two
+    threads that fill a band's halves add up to one ``_CHUNK`` block, and
+    they end with the call, before ``validate`` sorts the keys.
     """
     step = max(_CHUNK // 2, 1)
+    a, b, c = tris.T
+    filled = 0
     for start in range(0, len(tris), step):
-        t = tris[start : start + step]
-        head = t[:, [1, 2, 0]]
-        k = keys[start : start + step]
-        np.minimum(t, head, out=k)
-        k *= nv
-        k += np.maximum(t, head)
-        k <<= 1
-        k |= t < head
-        k[t == head] = -1
+        for u, w in ((a, b), (b, c), (c, a)):
+            u, w = u[start : start + step], w[start : start + step]
+            lo = np.minimum(u, w)
+            lo -= v0
+            inside = lo.view(np.uint32) < v1 - v0  # v0 <= lo < v1 in one unsigned test
+            u, w = u[inside], w[inside]
+            k = keys[filled : filled + len(u)]
+            np.minimum(u, w, out=k)
+            k *= nv
+            k += np.maximum(u, w)
+            k <<= 1
+            k |= u < w
+            k[u == w] = -1
+            filled += len(u)
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
@@ -803,6 +831,13 @@ def _edge_counts(comp: np.ndarray, ncomp: int, lo: np.ndarray, grade: np.ndarray
     return counts
 
 
+def _joined(parts: list) -> np.ndarray:
+    """The arrays of ``parts`` end to end, without a copy of one alone; the list is emptied."""
+    joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
 def _check_block(pool, vertices: np.ndarray, tris: np.ndarray, base: int, size: int) -> tuple:
     """The degenerate triangles and per-component counts of a block that shares no vertex.
 
@@ -810,31 +845,54 @@ def _check_block(pool, vertices: np.ndarray, tris: np.ndarray, base: int, size: 
     its degenerate count, then the vertices, edges, faces, unbalanced,
     non-manifold and boundary edges of each of its components, in the order
     of their smallest vertex.  The edge keys use the whole mesh's vertex count.
+
+    The edge uses are sorted, counted and graded in bands of their ``lo``
+    end, one band per ``2 * _BLOCK`` triangles (at most one per vertex):
+    equal-width vertex ranges, in order.  All uses of an edge share its
+    ``lo`` end, so each band is exact on its own, and its edges follow those
+    of the band before; only one band's keys exist at a time.
     """
     nv = len(vertices)
-    keys = np.empty((len(tris), 3), dtype=np.int64)
+    bands = max(min(-(-len(tris) // (2 * max(_BLOCK, 1))), size), 1)
+    bounds = [base + size * band // bands for band in range(bands + 1)]
     half = len(tris) // 2
-    filled = pool.submit(_edge_keys, tris[half:], nv, keys[half:])
-    degenerate = pool.submit(_count_degenerate, vertices, tris)  # beside the sort
-    _edge_keys(tris[:half], nv, keys[:half])
-    filled.result()
-    keys = keys.reshape(-1)
-    keys.sort()
-    keys = keys[np.searchsorted(keys, 0) :]
-    # the first use of the middle use's edge, so that no run is cut
-    mid = int(np.searchsorted(keys, keys[len(keys) // 2] & ~1)) if len(keys) else 0
-    upper = pool.submit(_count_edges, keys[mid:])
-    split = _count_edges(keys[:mid])
-    edges = split + upper.result()
-    # the per-edge arrays are allocated on this thread and filled a part on each:
-    # glibc keeps resident whatever a worker thread's heap once held
-    lo = np.empty(edges, dtype=np.int32)
-    hi = np.empty(edges, dtype=np.int32)
-    grade = np.empty(edges, dtype=np.uint8)
-    graded = pool.submit(_grade_edges, keys[mid:], nv, lo[split:], hi[split:], grade[split:])
-    _grade_edges(keys[:mid], nv, lo[:split], hi[:split], grade[:split])
-    graded.result()
-    del keys
+    upper_counts = pool.submit(_band_counts, tris[half:], bounds)
+    lower_counts = _band_counts(tris[:half], bounds)
+    upper_counts = upper_counts.result()
+    degenerate, los, his, grades = [], [], [], []
+    for band, (v0, v1) in enumerate(zip(bounds, bounds[1:])):
+        # each band's arrays are allocated on this thread and filled a part on each:
+        # glibc keeps resident whatever a worker thread's heap once held
+        lower = lower_counts[band]
+        keys = np.empty(lower + upper_counts[band], dtype=np.int64)
+        filled = pool.submit(_band_keys, tris[half:], nv, v0, v1, keys[lower:])
+        # beside the sort, a slice of the degenerate count
+        degenerate.append(pool.submit(_count_degenerate, vertices,
+                                      tris[len(tris) * band // bands :
+                                           len(tris) * (band + 1) // bands]))
+        _band_keys(tris[:half], nv, v0, v1, keys[:lower])
+        filled.result()
+        keys.sort()
+        keys = keys[np.searchsorted(keys, 0) :]
+        # the first use of the middle use's edge, so that no run is cut
+        mid = int(np.searchsorted(keys, keys[len(keys) // 2] & ~1)) if len(keys) else 0
+        upper = pool.submit(_count_edges, keys[mid:])
+        split = _count_edges(keys[:mid])
+        edges = split + upper.result()
+        lo = np.empty(edges, dtype=np.int32)
+        hi = np.empty(edges, dtype=np.int32)
+        grade = np.empty(edges, dtype=np.uint8)
+        graded = pool.submit(_grade_edges, keys[mid:], nv, lo[split:], hi[split:], grade[split:])
+        _grade_edges(keys[:mid], nv, lo[:split], hi[:split], grade[:split])
+        graded.result()
+        del keys
+        los.append(lo)
+        his.append(hi)
+        grades.append(grade)
+    lo = _joined(los)  # one kind at a time, each rebinding dropping its last band's part
+    hi = _joined(his)
+    grade = _joined(grades)
+    degenerate = sum(count.result() for count in degenerate)
 
     lo -= base
     hi -= base
@@ -854,7 +912,7 @@ def _check_block(pool, vertices: np.ndarray, tris: np.ndarray, base: int, size: 
     counted = pool.submit(_vertex_face_counts, comp, ncomp, tris, base)
     e_per, unbalanced_per, nonmanifold_per, boundary_per = _edge_counts(comp, ncomp, lo, grade)
     v_per, f_per = counted.result()
-    return degenerate.result(), v_per, e_per, f_per, unbalanced_per, nonmanifold_per, boundary_per
+    return degenerate, v_per, e_per, f_per, unbalanced_per, nonmanifold_per, boundary_per
 
 
 def validate(mesh: TriangleMesh) -> MeshReport:
@@ -868,25 +926,36 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     wherever every vertex index before the cut is below every index after
     it.  A built mesh, whose capsules each have their own vertex range, can
     be cut at any capsule's end; a read-back mesh, whose vertices are sorted
-    by their coordinates, cannot, and is one block.  Only one block's edge
-    arrays exist at a time.  The work is shared between the calling thread
-    and a one-worker pool:
+    by their coordinates, cannot, and is one block.  Within a block the edge
+    uses are sorted, counted and graded in bands of their ``lo`` end, one
+    band per ``2 * _BLOCK`` triangles: equal-width ranges of the block's
+    vertices, taken in order.  Every use of an edge has the same ``lo`` end,
+    so a band holds all of its edges' uses.  Only one band's edge keys exist
+    at a time, beside the block's edges.  A built block is one band; the
+    read-back default torus is four.  The work is shared between the calling
+    thread and a one-worker pool:
 
     * The worker takes the bounding box of all the vertices while the
       calling thread finds the cuts.
-    * In each block, each edge use is encoded as ``(lo*nv + hi) << 1 | (runs
-      lo -> hi)``, a half of the block's triangles on each thread in blocks
-      of ``_CHUNK // 2``.
-    * The worker counts the block's degenerate triangles while one sort on
-      the calling thread groups the uses of each undirected edge into one run.
+    * In each block, each thread counts the uses of each band among a half
+      of the triangles: one compare per band bound, ``_CHUNK // 2``
+      triangles at a time.  So each band's keys, and each thread's part of
+      them, are allocated exactly on the calling thread.
+    * In each band, each of its edge uses is encoded as ``(lo*nv + hi) << 1
+      | (runs lo -> hi)``, a half of the block's triangles on each thread
+      in blocks of ``_CHUNK // 2``.
+    * The worker counts the degenerate triangles of one slice of the block
+      while one sort on the calling thread groups the uses of each of the
+      band's undirected edges into one run.  The slices' counts are summed.
     * The sorted keys are cut at the first use of the middle use's edge, and
       each thread counts the edges of its part.
     * Each thread then grades the edges of its part into one byte each and
       splits them into int32 ``lo`` and ``hi`` ends, all written at the
-      part's offset in arrays allocated on the calling thread.  It goes in
-      blocks of about ``_CHUNK // 2`` uses, each ending where an edge's uses
-      end, so the only arrays as long as the block are the 8-byte key of
-      each use and the 9 bytes of each edge.
+      part's offset in the band's arrays, allocated on the calling thread.
+      It goes in blocks of about ``_CHUNK // 2`` uses, each ending where an
+      edge's uses end, so the only arrays as long as the band are the 8-byte
+      key of each use and the 9 bytes of each edge.  The bands' edges, in
+      band order, are joined one array at a time.
     * ``_components`` labels each of the block's vertices with the smallest
       vertex of its component, in numpy alone and ``_CHUNK`` edges at a
       time, while the worker marks the vertices in use.  Then the worker

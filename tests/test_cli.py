@@ -276,6 +276,29 @@ def test_generate_does_not_depend_on_validate_blocks(tmp_path, capsys, monkeypat
     assert runs[0][0] == 0 and runs[0][1].startswith("triangles: ")
 
 
+@pytest.mark.parametrize("surface", ["torus", "klein", "roman"])
+def test_validate_does_not_depend_on_bands(tmp_path, capsys, monkeypatch, surface):
+    # the read-back draft grid is one block, checked in one band, then in several
+    out = tmp_path / "m.stl"
+    assert run(["generate", "--surface", surface, "--lat-ribs", "4", "--long-ribs", "8",
+                "--outer-density", "2", "--inner-density", "2", "--resolution", "6",
+                "--output", str(out)], capsys)[0] == 0
+    counts, seen = mesh_io._band_counts, []
+
+    def recorded(tris, bounds):
+        seen.append(len(bounds) - 1)
+        return counts(tris, bounds)
+
+    monkeypatch.setattr(mesh_io, "_band_counts", recorded)
+    runs = []
+    for block in (mesh_io._BLOCK, 1000):
+        monkeypatch.setattr(mesh_io, "_BLOCK", block)
+        runs.append(run(["validate", str(out)], capsys))
+    assert seen[:2] == [1, 1] and len(seen) == 4 and seen[2] == seen[3] >= 3  # a call per half
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].startswith("triangles: ")
+
+
 def test_generate_legacy_overshoot_produces_more_capsules(tmp_path, capsys):
     base = tmp_path / "a.stl"
     legacy = tmp_path / "b.stl"

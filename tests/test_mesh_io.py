@@ -974,6 +974,61 @@ def test_validate_in_blocks_matches_oracle(block, chunk, mesh):
         assert report_fields(validate(mesh)) == expected
 
 
+BAND_EXAMPLES = {
+    # with _BLOCK 1, 9 triangles ask for 5 bands, capped at the 3 vertices
+    "more-bands-than-vertices": TriangleMesh(np.eye(3), np.array([(0, 1, 2), (0, 2, 1)] * 4
+                                                                 + [(1, 1, 1)], np.int32)),
+    # vertices 4 and 5 are no edge's lo end, so the last band is empty
+    "empty-band": TriangleMesh(np.vstack([tetrahedron().vertices, np.ones((2, 3))]),
+                               tetrahedron().triangles),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@given(mesh=st.one_of(report_meshes(), disjoint_part_meshes()), chunk=st.integers(1, 3))
+@example(mesh=BAND_EXAMPLES["more-bands-than-vertices"], chunk=1)
+@example(mesh=BAND_EXAMPLES["empty-band"], chunk=2)
+@example(mesh=ORACLE_EXAMPLES["repeated-indices"], chunk=3)
+@example(mesh=ORACLE_EXAMPLES["all-collapsed"], chunk=1)
+@example(mesh=ORACLE_EXAMPLES["no-triangles"], chunk=1)
+def test_validate_in_bands_matches_oracle(block, mesh, chunk):
+    # a block of more than 2 * _BLOCK triangles is checked in bands of its lo ends
+    expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mesh_io, "_BLOCK", block)
+        monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+        assert report_fields(validate(mesh)) == expected
+
+
+def edge_use_keys(triangles, nv) -> list:
+    """(lo, key) of each edge use: key ``(lo*nv + hi) << 1 | (runs lo -> hi)``, -1 if collapsed."""
+    return [(min(u, w), -1 if u == w else (min(u, w) * nv + max(u, w)) << 1 | (u < w))
+            for t in triangles.tolist() for u, w in zip(t, t[1:] + t[:1])]
+
+
+@given(mesh=st.one_of(report_meshes(), disjoint_part_meshes()),
+       inner=st.lists(st.integers(0, 64), max_size=4), chunk=st.integers(1, 3))
+@example(mesh=BAND_EXAMPLES["empty-band"], inner=[2, 4], chunk=1)
+def test_band_keys_join_into_the_block_keys(mesh, inner, chunk):
+    # any bounds from 0 to nv, equal ones making empty bands
+    nv = len(mesh.vertices)
+    bounds = [0, *sorted(min(bound, nv) for bound in inner), nv]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+        counts = mesh_io._band_counts(mesh.triangles, bounds)
+        bands = []
+        for count, v0, v1 in zip(counts, bounds, bounds[1:]):
+            keys = np.empty(count, dtype=np.int64)
+            mesh_io._band_keys(mesh.triangles, nv, v0, v1, keys)
+            bands.append(np.sort(keys).tolist())
+    uses = edge_use_keys(mesh.triangles, nv)
+    assert counts == [sum(v0 <= lo < v1 for lo, _ in uses) for v0, v1 in zip(bounds, bounds[1:])]
+    # the collapsed uses sort first in their band, where validate cuts them off
+    assert [key for band in bands for key in band if key >= 0] == sorted(
+        key for _, key in uses if key >= 0)
+    assert sum(band.count(-1) for band in bands) == [key for _, key in uses].count(-1)
+
+
 def test_built_mesh_is_cut_where_capsules_end(monkeypatch):
     # each capsule or sphere strut has its own vertex range, so each ends at a valid cut
     spec = WireframeSpec(SurfaceParams(SurfaceKind.ROMAN, lat_ribs=4, long_ribs=4), 1, 1,
@@ -1065,17 +1120,21 @@ def test_validate_splits_edge_keys_between_threads(monkeypatch, chunk, nt):
     # the first nt tetrahedron faces; from nt = 2 on, edge (0, 1) has one use in
     # each half, and nt = 4 closes the surface
     mesh = TriangleMesh(tetrahedron().vertices, tetrahedron().triangles[:nt])
-    fill, calls = mesh_io._edge_keys, []
+    fill, calls = mesh_io._band_keys, []
 
-    def recorded(tris, nv, keys):
+    def recorded(tris, nv, v0, v1, keys):
         calls.append((threading.current_thread() is threading.main_thread(), len(tris)))
-        fill(tris, nv, keys)
+        fill(tris, nv, v0, v1, keys)
 
     monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
-    monkeypatch.setattr(mesh_io, "_edge_keys", recorded)
+    monkeypatch.setattr(mesh_io, "_band_keys", recorded)
     expected = mesh_report_oracle(mesh.vertices, mesh.triangles, mesh_io.DEGENERATE_AREA)
     assert report_fields(validate(mesh)) == expected
     assert sorted(calls) == [(False, nt - nt // 2), (True, nt // 2)]
+    calls.clear()
+    monkeypatch.setattr(mesh_io, "_BLOCK", 1)  # then nt / 2 bands, rounded up, each split alike
+    assert report_fields(validate(mesh)) == expected
+    assert sorted(calls) == sorted([(False, nt - nt // 2), (True, nt // 2)] * max(-(-nt // 2), 1))
 
 
 def edge_use_split(triangles) -> list:
@@ -1155,20 +1214,24 @@ def test_worker_thread_failure_reaches_caller():
     data = bytes(write_stl(mesh))
     threads = threading.active_count()
 
-    def fails_on_worker(call, module, name, when=lambda *args: True, chunk=None):
+    def fails_on_worker(call, module, name, when=lambda *args: True, chunk=None, block=None):
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(module, name, on_caller_only(getattr(module, name), when))
             if chunk:
                 monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+            if block:
+                monkeypatch.setattr(mesh_io, "_BLOCK", block)
             with pytest.raises(MemoryError, match="injected on the worker"):
                 call()
         assert threading.active_count() == threads
 
     for mode in ("binary", "ascii"):
         fails_on_worker(lambda: write_stl(mesh, mode), mesh_io, "_fill_records")
-    for name in ("_edge_keys", "_count_degenerate", "_count_edges", "_grade_edges", "_extent",
-                 "_mark_referenced", "_vertex_face_counts"):
-        fails_on_worker(lambda: validate(mesh), mesh_io, name)
+    # one band, then bands of 8 triangles' uses
+    for block in (None, 4):
+        for name in ("_band_counts", "_band_keys", "_count_degenerate", "_count_edges",
+                     "_grade_edges", "_extent", "_mark_referenced", "_vertex_face_counts"):
+            fails_on_worker(lambda: validate(mesh), mesh_io, name, block=block)
     fails_on_worker(lambda: one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, 6),
                     wireframe, "_tessellate_blocks")
     for name in ("_dedup_blocks", "_vertex_array"):
@@ -1260,6 +1323,15 @@ def test_validate_read_back_peak(torus_6x12):
     # the same whole-part run arrays reach 40 on the welded mesh
     back = read_stl(bytes(write_stl(torus_6x12)))
     assert peak_bytes_per_triangle(validate, back) < 38
+
+
+def test_validate_read_back_in_bands_peak(torus_6x12, monkeypatch):
+    # one band, as the default _BLOCK leaves this mesh, reaches 34.0: the sorted
+    # key of every edge use beside the edges
+    back = read_stl(bytes(write_stl(torus_6x12)))
+    monkeypatch.setattr(mesh_io, "_BLOCK", 1 << 16)  # 3 bands
+    assert mesh_io._cuts(back.triangles) == []
+    assert peak_bytes_per_triangle(validate, back) < 22
 
 
 def test_validate_in_blocks_peak(torus_6x12, monkeypatch):
