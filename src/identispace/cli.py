@@ -8,7 +8,7 @@ geometry options are the ``SurfaceParams`` and ``WireframeSpec`` defaults, and a
 new option is one ``_OPTIONS`` entry.
 
 Exit codes: 0 success, 1 validation failed (output still written), 2 invalid
-arguments or unreadable input.
+arguments, unreadable input or out of memory.
 """
 
 from __future__ import annotations
@@ -208,17 +208,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         with _open_output(out_path) as fh:  # opened first: an unwritable path fails fast
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             try:
-                mappable = regular and not args.ascii
-                if mappable:  # a full disk or quota fails here, not as SIGBUS on a mapped page
+                # a full disk or quota fails here, not as SIGBUS on a mapped page
+                if regular and not args.ascii:
                     os.posix_fallocate(fh.fileno(), 0, 84 + 50 * triangles)
                 mesh = tessellate_segments(segments, res)
                 report = validate(mesh)
-                data = write_stl(mesh, "ascii" if args.ascii else "binary",
-                                 out=fh if mappable else None)
-                if not mappable:
-                    fh.write(data)
-                size = len(data)
-            except (OSError, ValueError):  # ValueError: a vertex past the float32 range
+                size = len(write_stl(mesh, "ascii" if args.ascii else "binary", out=fh))
+            except BaseException:  # no half-written file is left behind, whatever stopped it
                 if regular:
                     os.remove(out_path)
                 raise
@@ -314,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

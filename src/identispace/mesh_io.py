@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -154,20 +155,38 @@ def _ignore(start: int, stop: int) -> None:
     """A ``done`` or ``release`` callback with nothing to do."""
 
 
+def _on_both(here, there) -> tuple:
+    """``(here(), there())``: ``there`` runs on a one-worker pool while this thread runs ``here``.
+
+    Every two-thread split runs through here.  An array that both threads
+    fill is allocated by the caller, on this thread, and each side is given
+    its part: glibc keeps resident whatever a worker thread's heap once
+    held.  A failure of either side is raised once both have ended, so no
+    thread outlives the call.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
+
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(there)
+        return here(), future.result()
+
+
 def _fill_records(records: np.ndarray, vertices: np.ndarray, triangles: np.ndarray,
-                  done=_ignore) -> None:
-    """Fill binary records, ``_CHUNK // 2`` at a time: corners, unit normals and a zero attribute.
+                  start: int, stop: int, release=_ignore) -> None:
+    """Fill records [start, stop), ``_CHUNK // 2`` at a time: corners, unit normals, zero attribute.
 
     The float64 corners are rounded to float32 as they are stored.
-    ``done(start, stop)`` is told the records of each block once it is filled.
+    ``release(first, end)`` is told the file bytes of each block once it is
+    filled; record k starts at byte ``84 + 50k``.
     """
     step = max(_CHUNK // 2, 1)
-    for start in range(0, len(records), step):
-        block = records[start : start + step]
-        block["corners"] = vertices[triangles[start : start + step]]
+    for at in range(start, stop, step):
+        end = min(at + step, stop)
+        block = records[at:end]
+        block["corners"] = vertices[triangles[at:end]]
         block["normal"] = _unit_normals(block["corners"])
         block["attribute"] = 0
-        done(start, start + len(block))
+        release(84 + 50 * at, 84 + 50 * end)
 
 
 def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
@@ -176,35 +195,29 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
     Binary layout: 80-byte header tagged ``identispace-forge``, little-endian
     uint32 triangle count, then 50 bytes per triangle (normal, three vertices
     as float32, zero attribute); total length is exactly 84 + 50*n.  The
-    records are filled in place inside the binary buffer, the first half on
-    the calling thread and the second half on a second thread, each in blocks
-    of ``_CHUNK // 2`` triangles, so the file is never copied.  The corners
-    are rounded to float32 block by block, so there is no float32 copy of
-    the vertices either.  ASCII mode formats those records ``_CHUNK`` at a
-    time into one growing ``bytearray``, emitting the float32-rounded
-    coordinates with 9 significant digits so both modes parse back to
-    identical meshes.  A vertex that is not finite once rounded to float32
-    raises ``ValueError``.
+    records are filled in place inside the binary buffer, in blocks of
+    ``_CHUNK // 2`` triangles, so the file is never copied.  The corners are
+    rounded to float32 block by block, so there is no float32 copy of the
+    vertices either.  ASCII mode formats those records ``_CHUNK`` at a time
+    into one growing ``bytearray``, emitting the float32-rounded coordinates
+    with 9 significant digits so both modes parse back to identical meshes.
+    A vertex that is not finite once rounded to float32 raises ``ValueError``.
 
-    ``out``, a regular file opened read-write (``"w+b"``) whose first
-    84 + 50*n bytes are allocated (``os.posix_fallocate``), receives the
-    binary file in those bytes.  They are mapped shared and filled in place,
-    and each block's whole pages are dropped once they are filled: their
-    bytes stay in the page cache, so the file is not held resident.  The
-    mapping is returned; its ``len()`` is the file size.  Where the file
-    cannot be mapped (a write-only descriptor, a file system without shared
-    mappings, fewer bytes allocated), the ``bytearray`` is written to ``out``
-    whole and returned.  ASCII mode with ``out`` raises ``ValueError``.
+    ``out`` is a file to write to.  Where it is a regular file opened
+    read-write (``"w+b"``) whose first 84 + 50*n bytes are allocated
+    (``os.posix_fallocate``), the binary file is filled in place in those
+    bytes.  They are mapped shared, and each block's whole pages are dropped
+    once they are filled: their bytes stay in the page cache, so the file is
+    not held resident.  The mapping is returned; its ``len()`` is the file
+    size.  Anything else (ASCII text, a write-only descriptor, a file system
+    without shared mappings, fewer bytes allocated) is written to ``out``
+    whole and returned.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
-
     if mode not in ("binary", "ascii"):
         raise ValueError(f"mode must be 'binary' or 'ascii', got {mode!r}")
     n = mesh.triangle_count
     if n >= STL_TRIANGLE_LIMIT:
         raise ValueError("triangle count exceeds the 32-bit STL limit")
-    if out is not None and mode != "binary":
-        raise ValueError("out= takes the binary file only")
     mesh.check_indices()
     step = max(_CHUNK, 1)
     with np.errstate(over="ignore"):
@@ -212,20 +225,14 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
             if not np.isfinite(mesh.vertices[start : start + step].astype("<f4")).all():
                 raise ValueError("a vertex is not finite in float32, the STL coordinate type")
 
-    mapping = None if out is None else _map_file(out, 84 + 50 * n)
+    mapping = None if out is None or mode != "binary" else _map_file(out, 84 + 50 * n)
     binary = bytearray(84 + 50 * n) if mapping is None else mapping
     release = _ignore if mapping is None else _drop_pages(mapping)
     binary[:80] = STL_HEADER_TAG.ljust(80, b"\0")
     struct.pack_into("<I", binary, 80, n)
     records = np.frombuffer(binary, _RECORD, count=n, offset=84)
-    half = n // 2
-    with ThreadPoolExecutor(1) as pool:
-        second = pool.submit(_fill_records, records[half:], mesh.vertices, mesh.triangles[half:],
-                             lambda start, stop: release(84 + 50 * (half + start),
-                                                         84 + 50 * (half + stop)))
-        _fill_records(records[:half], mesh.vertices, mesh.triangles[:half],
-                      lambda start, stop: release(84 + 50 * start, 84 + 50 * stop))
-        second.result()
+    fill = partial(_fill_records, records, mesh.vertices, mesh.triangles)
+    _on_both(partial(fill, 0, n // 2, release), partial(fill, n // 2, n, release))
     if mode == "binary":
         if out is not None and mapping is None:
             out.write(binary)
@@ -241,6 +248,8 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
         digits = np.array(["%.9g" % v for v in bits.view(np.float32).tolist()], dtype=object)
         text += ((_FACET * len(chunk)) % tuple(digits[at.ravel()].tolist())).encode("ascii")
     text += f"endsolid {name}\n".encode("ascii")
+    if out is not None:
+        out.write(text)
     return text
 
 
@@ -354,21 +363,21 @@ def _check_vertex_count(count: int) -> None:
                        "past the int32 vertex index")
 
 
-def _dedup_blocks(bits: np.ndarray, inverse: np.ndarray, done=_ignore) -> list:
-    """The unique rows of each ``_CHUNK``-triangle block of (T,3,3) uint32 bits.
+def _dedup_blocks(bits: np.ndarray, inverse: np.ndarray, start: int, stop: int,
+                  done=_ignore) -> list:
+    """The unique rows of each ``_CHUNK``-triangle block of triangles [start, stop) of ``bits``.
 
-    Each corner's index among its block's rows is written to ``inverse``
-    (3T int32); the rows come back as a list, one (n,3) array per block.
-    ``done(start, stop)`` is told the triangles of each block once its rows
-    are found; nothing reads those corners again.
+    ``bits`` is (T,3,3) uint32.  Each corner's index among its block's rows
+    is written to ``inverse`` (3T int32); the rows come back as a list, one
+    (n,3) array per block.  ``done(first, end)`` is told the triangles of
+    each block once its rows are found; nothing reads those corners again.
     """
     step = max(_CHUNK, 1)
     blocks = []
-    for start in range(0, len(bits), step):
-        stop = min(start + step, len(bits))
-        rows = _unique_rows([bits[start:stop].reshape(-1, 3)], inverse[3 * start : 3 * stop])
-        blocks.append(rows)
-        done(start, stop)
+    for at in range(start, stop, step):
+        end = min(at + step, stop)
+        blocks.append(_unique_rows([bits[at:end].reshape(-1, 3)], inverse[3 * at : 3 * end]))
+        done(at, end)
     return blocks
 
 
@@ -385,56 +394,48 @@ def _weld(tri_verts: np.ndarray, done=_ignore) -> TriangleMesh:
     Identity is the 96-bit pattern, so -0.0 and +0.0 are distinct vertices.
     A NaN or infinite coordinate raises ``StlError``.  ``tri_verts`` may be a
     strided view of the file's records; it is never copied whole.  Each block
-    of ``_CHUNK`` triangles is deduplicated on its own, the first half of the
-    blocks on the calling thread and the rest on a second thread.  The
-    block-unique rows, about half a row per corner on a tessellated mesh and
-    a sixth on the default torus, are then ranked into vertices on both
-    threads: each block's rows are in (x, y, z) order, so a pivot x word (the
-    median of a sample) cuts every block into the rows below it and the rows
-    from it on.  The calling thread ranks the lower rows and the worker the
-    upper, and the upper ranks follow the lower ones, so the vertex order is
-    that of one global ranking whatever the pivot.  The only array with an
-    entry per corner is the 4-byte vertex index, remapped in place block by
-    block, the first half of the blocks on the calling thread and the rest on
-    the worker once it has built the float64 vertices.  ``done(start, stop)``
-    is told the triangles of each block once they are deduplicated, from
-    either thread.
+    of ``_CHUNK`` triangles is deduplicated on its own.  The block-unique
+    rows, about half a row per corner on a tessellated mesh and a sixth on
+    the default torus, are then ranked into vertices in two parts: each
+    block's rows are in (x, y, z) order, so a pivot x word (the median of a
+    sample) cuts every block into the rows below it and the rows from it on.
+    The upper ranks follow the lower ones, so the vertex order is that of one
+    global ranking whatever the pivot.  The only array with an entry per
+    corner is the 4-byte vertex index, remapped in place block by block.
+    ``done(start, stop)`` is told the triangles of each block once they are
+    deduplicated, from either thread.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
-
     bits = tri_verts.view("<u4")
     step = max(_CHUNK, 1)
-    half = (-(-len(bits) // step) + 1) // 2 * step  # the first half of the blocks, rounded up
+    first = (-(-len(bits) // step) + 1) // 2  # the first half of the blocks, rounded up
+    half = min(first * step, len(bits))
     inverse = np.empty(3 * len(bits), dtype=np.int32)
-    with ThreadPoolExecutor(1) as pool:
-        second = pool.submit(_dedup_blocks, bits[half:], inverse[3 * half :],
-                             lambda start, stop: done(half + start, half + stop))
-        blocks = _dedup_blocks(bits[:half], inverse[: 3 * half], done)
-        blocks += second.result()
-        pivot = _pivot(blocks)
-        cuts = [int(np.searchsorted(rows[:, 0], pivot)) for rows in blocks]
-        sizes = [len(rows) for rows in blocks]
-        lower = [rows[:cut] for rows, cut in zip(blocks, cuts)]
-        upper = [rows[cut:] for rows, cut in zip(blocks, cuts)]
-        del blocks
-        lower_rank = np.empty(sum(cuts), dtype=np.int32)
-        upper_rank = np.empty(sum(sizes) - sum(cuts), dtype=np.int32)
-        upper = pool.submit(_unique_rows, upper, upper_rank)
-        lower = _unique_rows(lower, lower_rank)
-        upper = upper.result()
-        _check_vertex_count(len(lower) + len(upper))
-        upper_rank += len(lower)
-        ranks, at_lower, at_upper = [], 0, 0  # each block's ranks below and from the pivot
-        for cut, size in zip(cuts, sizes):
-            ranks.append((lower_rank[at_lower : at_lower + cut],
-                          upper_rank[at_upper : at_upper + size - cut]))
-            at_lower += cut
-            at_upper += size - cut
-        vertices = pool.submit(_vertices_then_remap, [lower, upper],
-                               inverse[3 * half :], ranks[half // step :])
-        del lower, upper
-        _remap(inverse[: 3 * half], ranks[: half // step])
-        return TriangleMesh(vertices.result(), inverse.reshape(-1, 3))
+    lower, upper = _on_both(partial(_dedup_blocks, bits, inverse, 0, half, done),
+                            partial(_dedup_blocks, bits, inverse, half, len(bits), done))
+    blocks = lower + upper
+    pivot = _pivot(blocks)
+    cuts = [int(np.searchsorted(rows[:, 0], pivot)) for rows in blocks]
+    sizes = [len(rows) for rows in blocks]
+    lower = [rows[:cut] for rows, cut in zip(blocks, cuts)]
+    upper = [rows[cut:] for rows, cut in zip(blocks, cuts)]
+    del blocks
+    lower_rank = np.empty(sum(cuts), dtype=np.int32)
+    upper_rank = np.empty(sum(sizes) - sum(cuts), dtype=np.int32)
+    lower, upper = _on_both(partial(_unique_rows, lower, lower_rank),
+                            partial(_unique_rows, upper, upper_rank))
+    _check_vertex_count(len(lower) + len(upper))
+    upper_rank += len(lower)
+    ranks, at_lower, at_upper = [], 0, 0  # each block's ranks below and from the pivot
+    for cut, size in zip(cuts, sizes):
+        ranks.append((lower_rank[at_lower : at_lower + cut],
+                      upper_rank[at_upper : at_upper + size - cut]))
+        at_lower += cut
+        at_upper += size - cut
+    vertices = _vertex_array([lower, upper])
+    del lower, upper
+    _on_both(partial(_remap, inverse[: 3 * half], ranks[:first]),
+             partial(_remap, inverse[3 * half :], ranks[first:]))
+    return TriangleMesh(vertices, inverse.reshape(-1, 3))
 
 
 def _remap(inverse: np.ndarray, ranks: list) -> None:
@@ -446,13 +447,6 @@ def _remap(inverse: np.ndarray, ranks: list) -> None:
     for block, (lower, upper) in enumerate(ranks):
         corners = inverse[step * block : step * (block + 1)]
         corners[:] = np.concatenate([lower, upper])[corners]
-
-
-def _vertices_then_remap(rows: list, inverse: np.ndarray, ranks: list) -> np.ndarray:
-    """``_vertex_array(rows)``, then ``_remap(inverse, ranks)``: the worker's end of the weld."""
-    vertices = _vertex_array(rows)
-    _remap(inverse, ranks)
-    return vertices
 
 
 def _vertex_array(rows: list) -> np.ndarray:
@@ -517,9 +511,8 @@ def read_stl(data) -> TriangleMesh:
     sort by their (x, y, z) float32 bit patterns read as uint32, so
     1.0 < 2.0 < -0.0.  Beside ``data`` (and the corners ``_parse_ascii``
     decodes from text), the weld holds 4 bytes per corner plus the
-    block-unique rows.  Its blocks, and then the ranking of their rows split
-    at a pivot x word, run on two threads, and its sorts are one-word
-    ``np.argsort`` calls.  A file with ``_VERTEX_LIMIT`` (2**31) or more
+    block-unique rows, and its sorts are one-word ``np.argsort`` calls.  A
+    file with ``_VERTEX_LIMIT`` (2**31) or more
     distinct vertices, past the int32 vertex index, raises ``StlError``,
     whether one side of the ranking or the two together reach it.
 
@@ -838,7 +831,7 @@ def _joined(parts: list) -> np.ndarray:
     return joined
 
 
-def _check_block(pool, vertices: np.ndarray, tris: np.ndarray, base: int, size: int) -> tuple:
+def _check_block(vertices: np.ndarray, tris: np.ndarray, base: int, size: int) -> tuple:
     """The degenerate triangles and per-component counts of a block that shares no vertex.
 
     The block's vertices are the ``size`` from vertex ``base`` on.  Returns
@@ -855,36 +848,29 @@ def _check_block(pool, vertices: np.ndarray, tris: np.ndarray, base: int, size: 
     nv = len(vertices)
     bands = max(min(-(-len(tris) // (2 * max(_BLOCK, 1))), size), 1)
     bounds = [base + size * band // bands for band in range(bands + 1)]
-    half = len(tris) // 2
-    upper_counts = pool.submit(_band_counts, tris[half:], bounds)
-    lower_counts = _band_counts(tris[:half], bounds)
-    upper_counts = upper_counts.result()
-    degenerate, los, his, grades = [], [], [], []
+    lower, upper = tris[: len(tris) // 2], tris[len(tris) // 2 :]
+    lower_counts, upper_counts = _on_both(partial(_band_counts, lower, bounds),
+                                          partial(_band_counts, upper, bounds))
+    degenerate, los, his, grades = 0, [], [], []
     for band, (v0, v1) in enumerate(zip(bounds, bounds[1:])):
-        # each band's arrays are allocated on this thread and filled a part on each:
-        # glibc keeps resident whatever a worker thread's heap once held
-        lower = lower_counts[band]
-        keys = np.empty(lower + upper_counts[band], dtype=np.int64)
-        filled = pool.submit(_band_keys, tris[half:], nv, v0, v1, keys[lower:])
+        cut = lower_counts[band]
+        keys = np.empty(cut + upper_counts[band], dtype=np.int64)
+        _on_both(partial(_band_keys, lower, nv, v0, v1, keys[:cut]),
+                 partial(_band_keys, upper, nv, v0, v1, keys[cut:]))
         # beside the sort, a slice of the degenerate count
-        degenerate.append(pool.submit(_count_degenerate, vertices,
-                                      tris[len(tris) * band // bands :
-                                           len(tris) * (band + 1) // bands]))
-        _band_keys(tris[:half], nv, v0, v1, keys[:lower])
-        filled.result()
-        keys.sort()
+        _, count = _on_both(keys.sort, partial(_count_degenerate, vertices,
+                                               tris[len(tris) * band // bands :
+                                                    len(tris) * (band + 1) // bands]))
+        degenerate += count
         keys = keys[np.searchsorted(keys, 0) :]
         # the first use of the middle use's edge, so that no run is cut
         mid = int(np.searchsorted(keys, keys[len(keys) // 2] & ~1)) if len(keys) else 0
-        upper = pool.submit(_count_edges, keys[mid:])
-        split = _count_edges(keys[:mid])
-        edges = split + upper.result()
-        lo = np.empty(edges, dtype=np.int32)
-        hi = np.empty(edges, dtype=np.int32)
-        grade = np.empty(edges, dtype=np.uint8)
-        graded = pool.submit(_grade_edges, keys[mid:], nv, lo[split:], hi[split:], grade[split:])
-        _grade_edges(keys[:mid], nv, lo[:split], hi[:split], grade[:split])
-        graded.result()
+        split, rest = _on_both(partial(_count_edges, keys[:mid]), partial(_count_edges, keys[mid:]))
+        lo = np.empty(split + rest, dtype=np.int32)
+        hi = np.empty(split + rest, dtype=np.int32)
+        grade = np.empty(split + rest, dtype=np.uint8)
+        _on_both(partial(_grade_edges, keys[:mid], nv, lo[:split], hi[:split], grade[:split]),
+                 partial(_grade_edges, keys[mid:], nv, lo[split:], hi[split:], grade[split:]))
         del keys
         los.append(lo)
         his.append(hi)
@@ -892,15 +878,13 @@ def _check_block(pool, vertices: np.ndarray, tris: np.ndarray, base: int, size: 
     lo = _joined(los)  # one kind at a time, each rebinding dropping its last band's part
     hi = _joined(his)
     grade = _joined(grades)
-    degenerate = sum(count.result() for count in degenerate)
 
     lo -= base
     hi -= base
     referenced = np.zeros(size, dtype=bool)
-    marked = pool.submit(_mark_referenced, tris, base, referenced)
-    labels = _components(lo, hi, size)
+    labels, _ = _on_both(partial(_components, lo, hi, size),
+                         partial(_mark_referenced, tris, base, referenced))
     del hi
-    marked.result()
     # a label is its component's smallest vertex, so numbering the referenced
     # roots in index order keeps the components in the order of that vertex
     root = (labels == np.arange(size, dtype=np.int32)) & referenced
@@ -909,9 +893,9 @@ def _check_block(pool, vertices: np.ndarray, tris: np.ndarray, base: int, size: 
     number[~root] = ncomp  # an unreferenced vertex is its own label, and not a root
     comp = number[labels]  # each vertex's component, ncomp if unreferenced
     del labels, root, number
-    counted = pool.submit(_vertex_face_counts, comp, ncomp, tris, base)
-    e_per, unbalanced_per, nonmanifold_per, boundary_per = _edge_counts(comp, ncomp, lo, grade)
-    v_per, f_per = counted.result()
+    (e_per, unbalanced_per, nonmanifold_per, boundary_per), (v_per, f_per) = _on_both(
+        partial(_edge_counts, comp, ncomp, lo, grade),
+        partial(_vertex_face_counts, comp, ncomp, tris, base))
     return degenerate, v_per, e_per, f_per, unbalanced_per, nonmanifold_per, boundary_per
 
 
@@ -932,53 +916,36 @@ def validate(mesh: TriangleMesh) -> MeshReport:
     vertices, taken in order.  Every use of an edge has the same ``lo`` end,
     so a band holds all of its edges' uses.  Only one band's edge keys exist
     at a time, beside the block's edges.  A built block is one band; the
-    read-back default torus is four.  The work is shared between the calling
-    thread and a one-worker pool:
+    read-back default torus is four.
 
-    * The worker takes the bounding box of all the vertices while the
-      calling thread finds the cuts.
-    * In each block, each thread counts the uses of each band among a half
-      of the triangles: one compare per band bound, ``_CHUNK // 2``
-      triangles at a time.  So each band's keys, and each thread's part of
-      them, are allocated exactly on the calling thread.
-    * In each band, each of its edge uses is encoded as ``(lo*nv + hi) << 1
-      | (runs lo -> hi)``, a half of the block's triangles on each thread
-      in blocks of ``_CHUNK // 2``.
-    * The worker counts the degenerate triangles of one slice of the block
-      while one sort on the calling thread groups the uses of each of the
-      band's undirected edges into one run.  The slices' counts are summed.
-    * The sorted keys are cut at the first use of the middle use's edge, and
-      each thread counts the edges of its part.
-    * Each thread then grades the edges of its part into one byte each and
-      splits them into int32 ``lo`` and ``hi`` ends, all written at the
-      part's offset in the band's arrays, allocated on the calling thread.
-      It goes in blocks of about ``_CHUNK // 2`` uses, each ending where an
-      edge's uses end, so the only arrays as long as the band are the 8-byte
-      key of each use and the 9 bytes of each edge.  The bands' edges, in
-      band order, are joined one array at a time.
+    * The uses of each band are counted one compare per band bound,
+      ``_CHUNK // 2`` triangles at a time, so each band's keys are allocated
+      exactly.
+    * Each edge use is encoded as ``(lo*nv + hi) << 1 | (runs lo -> hi)``,
+      and one sort groups the uses of each of the band's undirected edges
+      into one run.
+    * The edges are graded into one byte each and split into int32 ``lo``
+      and ``hi`` ends, in blocks of about ``_CHUNK // 2`` uses, each ending
+      where an edge's uses end, so the only arrays as long as the band are
+      the 8-byte key of each use and the 9 bytes of each edge.  The bands'
+      edges, in band order, are joined one array at a time.
     * ``_components`` labels each of the block's vertices with the smallest
       vertex of its component, in numpy alone and ``_CHUNK`` edges at a
-      time, while the worker marks the vertices in use.  Then the worker
-      counts the vertices and faces per component while the calling thread
-      counts the edges, both ``_CHUNK`` at a time.
+      time.
 
     Components are numbered in the order of their smallest vertex, block
     after block, and each edge counts toward the component of its ``lo`` end.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
-
     mesh.check_indices()
     tris = mesh.triangles
-    with ThreadPoolExecutor(1) as pool:
-        bbox = pool.submit(_extent, mesh)  # beside the cut scan and the first block's keys
-        bounds = [0, *_cuts(tris), len(tris)]
-        # a block's vertices run from its smallest index (0 for the first) to the next
-        # block's smallest (nv for the last)
-        firsts = [0, *(int(tris[start:stop].min()) for start, stop in zip(bounds[1:], bounds[2:])),
-                  len(mesh.vertices)]
-        parts = [_check_block(pool, mesh.vertices, tris[start:stop], first, end - first)
-                 for start, stop, first, end in zip(bounds, bounds[1:], firsts, firsts[1:])]
-        bbox = bbox.result()
+    cuts, bbox = _on_both(partial(_cuts, tris), partial(_extent, mesh))
+    bounds = [0, *cuts, len(tris)]
+    # a block's vertices run from its smallest index (0 for the first) to the next
+    # block's smallest (nv for the last)
+    firsts = [0, *(int(tris[start:stop].min()) for start, stop in zip(bounds[1:], bounds[2:])),
+              len(mesh.vertices)]
+    parts = [_check_block(mesh.vertices, tris[start:stop], first, end - first)
+             for start, stop, first, end in zip(bounds, bounds[1:], firsts, firsts[1:])]
     degenerate, *counts = zip(*parts)
     v_per, e_per, f_per, unbalanced_per, nonmanifold_per, boundary_per = map(np.concatenate, counts)
     return MeshReport(

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .geom import SurfaceParams, cosd, sind, surface_point
-from .mesh_io import TriangleMesh
+from .mesh_io import TriangleMesh, _on_both
 
 __all__ = [
     "WireframeSpec",
@@ -268,12 +268,9 @@ def tessellate_segments(plan: SegmentPlan, res: int) -> TriangleMesh:
     the segment midpoint in the fixed frame x, y, z, less its bottom equator
     ring (ring m-1), which repeats the top one: 2m-1 rings.  Every segment's
     vertex and triangle offsets are fixed first, and the segments are then
-    filled in place in blocks of about ``_CHUNK`` capsule triangles, the
-    first half of the blocks on the calling thread and the rest on a second
-    thread, so the temporaries of a capsule's rings are bounded by the block.
+    filled in place in blocks of about ``_CHUNK`` capsule triangles, so the
+    temporaries of a capsule's rings are bounded by the block.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imported here to keep CLI start-up short
-
     m = (res + 1) // 2
     is_sphere = _is_sphere(plan)
     vcounts, fcounts = _ladder_counts(res, np.where(is_sphere, 2 * m - 1, 2 * m))
@@ -283,11 +280,8 @@ def tessellate_segments(plan: SegmentPlan, res: int) -> TriangleMesh:
                         np.empty((int(foff[-1]), 3), dtype=np.int32))
 
     step = max(_CHUNK // capsule_counts(res)[1], 1)
-    half = (-(-len(plan) // step) + 1) // 2 * step  # the first half of the blocks, rounded up
-    with ThreadPoolExecutor(1) as pool:
-        second = pool.submit(_tessellate_blocks, plan, res, is_sphere, voff, foff, mesh,
-                             range(min(half, len(plan)), len(plan), step))
-        _tessellate_blocks(plan, res, is_sphere, voff, foff, mesh,
-                           range(0, min(half, len(plan)), step))
-        second.result()
+    # the first half of the blocks, rounded up
+    half = min((-(-len(plan) // step) + 1) // 2 * step, len(plan))
+    fill = partial(_tessellate_blocks, plan, res, is_sphere, voff, foff, mesh)
+    _on_both(partial(fill, range(0, half, step)), partial(fill, range(half, len(plan), step)))
     return mesh

@@ -426,7 +426,7 @@ def test_generate_failure_removes_only_a_regular_output(tmp_path, capsys, monkey
     os.mkfifo(fifo)
     got = []
     reader = read_fifo(fifo, got)
-    for path in (out, fifo):
+    for path in (fifo, out):  # the FIFO first, so that its reader ends even if this fails
         code, text, err = run(["generate", *SMALL, "--output", str(path)], capsys)
         assert (code, text) == (2, "")
         assert err == "error: a vertex is not finite in float32, the STL coordinate type\n"
@@ -434,6 +434,44 @@ def test_generate_failure_removes_only_a_regular_output(tmp_path, capsys, monkey
     assert not reader.is_alive()
     assert not out.exists()
     assert fifo.exists() and got == [b""]
+
+
+def raises(exc):
+    def stage(*_args, **_kw):
+        raise exc
+
+    return stage
+
+
+def test_generate_out_of_memory_removes_only_a_regular_output(tmp_path, capsys, monkeypatch):
+    # the file is preallocated before tessellation, which may then run out of memory
+    monkeypatch.setattr(cli, "tessellate_segments", raises(MemoryError()))
+    out, fifo = tmp_path / "x.stl", tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = read_fifo(fifo, got)
+    for path in (fifo, out):  # the FIFO first, so that its reader ends even if this fails
+        assert run(["generate", *SMALL, "--output", str(path)], capsys) \
+            == (2, "", "error: out of memory\n")
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert not out.exists()
+    assert fifo.exists() and got == [b""]
+
+
+def test_generate_interrupted_removes_its_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "validate", raises(KeyboardInterrupt()))
+    out = tmp_path / "x.stl"
+    with pytest.raises(KeyboardInterrupt):
+        main(["generate", *SMALL, "--output", str(out)])
+    assert not out.exists()
+
+
+def test_validate_out_of_memory(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "open.stl"
+    path.write_bytes(open_tetra_stl())
+    monkeypatch.setattr(cli, "read_stl", raises(MemoryError()))
+    assert run(["validate", str(path)], capsys) == (2, "", "error: out of memory\n")
 
 
 # --- validate ----------------------------------------------------------------

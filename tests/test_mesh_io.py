@@ -1,12 +1,16 @@
+import ast
 import gc
 import hashlib
 import io
 import mmap
+import pathlib
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -451,11 +455,13 @@ def test_unmappable_file_is_written_whole(tmp_path):
     assert memory.getvalue() == expected
 
 
-def test_write_into_a_file_rejects_ascii(tmp_path):
-    with stl_file(tmp_path, 84 + 50 * 4) as fh:
-        with pytest.raises(ValueError, match="out"):
-            write_stl(tetrahedron(), "ascii", out=fh)
-    assert (tmp_path / "out.stl").read_bytes() == b"\xff" * (84 + 50 * 4)  # nothing written
+def test_write_ascii_into_a_file(tmp_path):
+    # ASCII text is written whole, and the file holds exactly the text returned
+    path = tmp_path / "out.stl"
+    with open(path, "w+b") as fh:
+        text = write_stl(ten_capsules(), "ascii", out=fh)
+    assert text == write_stl(ten_capsules(), "ascii")
+    assert path.read_bytes() == text
 
 
 def test_read_keeps_every_byte_of_a_writable_buffer(tmp_path, monkeypatch):
@@ -563,9 +569,9 @@ def test_weld_splits_blocks_between_threads(monkeypatch):
     data = bytes(write_stl(mesh))
     dedup, calls = mesh_io._dedup_blocks, []
 
-    def recorded(bits, inverse, *done):
-        calls.append((threading.current_thread() is threading.main_thread(), len(bits)))
-        return dedup(bits, inverse, *done)
+    def recorded(bits, inverse, start, stop, *done):
+        calls.append((threading.current_thread() is threading.main_thread(), stop - start))
+        return dedup(bits, inverse, start, stop, *done)
 
     monkeypatch.setattr(mesh_io, "_CHUNK", 2)
     monkeypatch.setattr(mesh_io, "_dedup_blocks", recorded)
@@ -1234,11 +1240,79 @@ def test_worker_thread_failure_reaches_caller():
             fails_on_worker(lambda: validate(mesh), mesh_io, name, block=block)
     fails_on_worker(lambda: one_capsule((0, 0, 0), (1, 0.5, 2), 0.8, 6),
                     wireframe, "_tessellate_blocks")
-    for name in ("_dedup_blocks", "_vertex_array"):
+    for name in ("_dedup_blocks", "_remap"):
         fails_on_worker(lambda: read_stl(data), mesh_io, name)
     # in blocks of 2 triangles, only the ranking calls are given more than one block
     fails_on_worker(lambda: read_stl(data), mesh_io, "_unique_rows",
                     when=lambda parts, inverse: len(parts) > 1, chunk=2)
+
+
+def on_main_thread(value):
+    return value, threading.current_thread() is threading.main_thread()
+
+
+def test_on_both_returns_both_results_in_order():
+    assert mesh_io._on_both(partial(on_main_thread, "here"), partial(on_main_thread, "there")) \
+        == (("here", True), ("there", False))
+
+
+def test_on_both_raises_a_worker_failure_after_here_ends():
+    failed, ended = threading.Event(), []
+
+    def there():
+        failed.set()
+        raise MemoryError("injected on the worker")
+
+    def here():
+        assert failed.wait(timeout=60)
+        time.sleep(0.05)
+        ended.append("here")
+
+    with pytest.raises(MemoryError, match="injected on the worker"):
+        mesh_io._on_both(here, there)
+    assert ended == ["here"]
+
+
+def test_on_both_raises_a_caller_failure_after_there_ends():
+    threads = threading.active_count()
+    started, ended = threading.Event(), []
+
+    def there():
+        started.set()
+        time.sleep(0.2)
+        ended.append("there")
+
+    def here():
+        assert started.wait(timeout=60)
+        raise MemoryError("injected on the caller")
+
+    with pytest.raises(MemoryError, match="injected on the caller"):
+        mesh_io._on_both(here, there)
+    assert ended == ["there"]
+    assert threading.active_count() == threads
+
+
+def test_every_split_runs_through_on_both():
+    # a pool or a submit anywhere else would be a split outside the helper and its rules
+    package = pathlib.Path(mesh_io.__file__).parent
+    helpers, outside = 0, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_on_both":
+                helpers += 1
+                inside.update(id(child) for child in ast.walk(node))
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            names = [alias.name for alias in getattr(node, "names", [])]
+            names += [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "ThreadPoolExecutor" in names or (
+                    isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "submit"):
+                outside.append(f"{path.name}:{node.lineno}")
+    assert helpers == 1
+    assert outside == []
 
 
 def test_bbox():
