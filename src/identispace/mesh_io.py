@@ -140,15 +140,20 @@ class MeshReport:
         ]
 
 
-def _unit_normals(corners: np.ndarray) -> np.ndarray:
-    """Unit normals from (T,3,3) corner coordinates; zero where degenerate."""
-    p0 = corners[:, 0].astype(np.float64)
-    cr = np.cross(corners[:, 1] - p0, corners[:, 2] - p0)
-    n = np.sqrt((cr * cr).sum(axis=1))
-    nz = n > 0.0
-    cr[nz] /= n[nz, None]
-    cr[~nz] = 0.0
-    return cr
+def _cross(a: list, b: list) -> tuple:
+    """The columns ``(cx, cy, cz)`` of ``a x b``, given the float64 columns of ``a`` and ``b``.
+
+    The IEEE operations are ``np.cross``'s, in its order, so every bit is the
+    one ``np.cross`` gives for the stacked rows, a signed zero's included.
+    """
+    (ax, ay, az), (bx, by, bz) = a, b
+    cx = ay * bz
+    cx -= az * by
+    cy = az * bx
+    cy -= ax * bz
+    cz = ax * by
+    cz -= ay * bx
+    return cx, cy, cz
 
 
 def _ignore(start: int, stop: int) -> None:
@@ -175,16 +180,28 @@ def _fill_records(records: np.ndarray, vertices: np.ndarray, triangles: np.ndarr
                   start: int, stop: int, release=_ignore) -> None:
     """Fill records [start, stop), ``_CHUNK // 2`` at a time: corners, unit normals, zero attribute.
 
-    The float64 corners are rounded to float32 as they are stored.
+    The corners go a coordinate at a time from the columns of ``vertices``
+    into their float32 slots.  The normal is ``_cross`` of the float64 edges
+    of the stored corners over its length, and +0.0 where that length is 0.
     ``release(first, end)`` is told the file bytes of each block once it is
     filled; record k starts at byte ``84 + 50k``.
     """
+    columns = vertices[:, 0], vertices[:, 1], vertices[:, 2]
     step = max(_CHUNK // 2, 1)
     for at in range(start, stop, step):
         end = min(at + step, stop)
-        block = records[at:end]
-        block["corners"] = vertices[triangles[at:end]]
-        block["normal"] = _unit_normals(block["corners"])
+        block, t = records[at:end], triangles[at:end]
+        corners, a, b = block["corners"], [], []
+        for axis, column in enumerate(columns):
+            for corner in range(3):
+                corners[:, corner, axis] = column[t[:, corner]]
+            p0 = corners[:, 0, axis].astype(np.float64)
+            a.append(corners[:, 1, axis] - p0)
+            b.append(corners[:, 2, axis] - p0)
+        cx, cy, cz = _cross(a, b)
+        length = np.sqrt(cx * cx + cy * cy + cz * cz)
+        for axis, c in enumerate((cx, cy, cz)):
+            block["normal"][:, axis] = np.divide(c, length, out=np.zeros_like(c), where=length > 0)
         block["attribute"] = 0
         release(84 + 50 * at, 84 + 50 * end)
 
@@ -196,11 +213,12 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
     uint32 triangle count, then 50 bytes per triangle (normal, three vertices
     as float32, zero attribute); total length is exactly 84 + 50*n.  The
     records are filled in place inside the binary buffer, in blocks of
-    ``_CHUNK // 2`` triangles, so the file is never copied.  The corners are
-    rounded to float32 block by block, so there is no float32 copy of the
-    vertices either.  ASCII mode formats those records ``_CHUNK`` at a time
-    into one growing ``bytearray``, emitting the float32-rounded coordinates
-    with 9 significant digits so both modes parse back to identical meshes.
+    ``_CHUNK // 2`` triangles, so the file is never copied, and the corners
+    go into them a coordinate at a time, so there is neither a float32 copy
+    of the vertices nor a (k,3,3) float64 gather of corners.  ASCII mode
+    formats those records ``_CHUNK`` at a time into one growing ``bytearray``,
+    emitting the float32-rounded coordinates with 9 significant digits so
+    both modes parse back to identical meshes.
     A vertex that is not finite once rounded to float32 raises ``ValueError``.
 
     ``out`` is a file to write to.  Where it is a regular file opened
@@ -540,10 +558,10 @@ def _count_degenerate(vertices: np.ndarray, tris: np.ndarray) -> int:
 
     The test is made in squared form, ``|cross|^2 <= (2*thr)^2``, in float64.
     The corners are gathered a coordinate at a time from the columns of
-    ``vertices`` (views, not a transposed copy), and the cross product
-    ``a x b`` of the edges ``a = p1 - p0`` and ``b = p2 - p0`` is formed in
-    place with the IEEE operations of ``np.cross`` in its order, so the count
-    is exact: ``cx*cx + cy*cy + cz*cz`` is the sum ``np.cross`` would give.
+    ``vertices`` (views, not a transposed copy), and ``_cross`` of the edges
+    ``a = p1 - p0`` and ``b = p2 - p0`` is squared and summed in place as
+    ``cx*cx + cy*cy + cz*cz``, the order of a row sum of ``np.cross``'s
+    result, so the count is exact.
     """
     sq_bound = (2.0 * DEGENERATE_AREA) ** 2
     columns = vertices[:, 0], vertices[:, 1], vertices[:, 2]
@@ -556,13 +574,7 @@ def _count_degenerate(vertices: np.ndarray, tris: np.ndarray) -> int:
             p0 = column[t[:, 0]]
             a.append(column[t[:, 1]] - p0)
             b.append(column[t[:, 2]] - p0)
-        (ax, ay, az), (bx, by, bz) = a, b
-        cx = ay * bz
-        cx -= az * by
-        cy = az * bx
-        cy -= ax * bz
-        cz = ax * by
-        cz -= ay * bx
+        cx, cy, cz = _cross(a, b)
         cx *= cx
         cx += np.multiply(cy, cy, out=cy)
         cx += np.multiply(cz, cz, out=cz)

@@ -46,7 +46,11 @@ _CHUNK = 1 << 16  # capsule triangles per tessellation block
 
 @dataclass(frozen=True)
 class WireframeSpec:
-    """Densities, strut thickness and tessellation resolution for one model."""
+    """Densities, strut thickness and tessellation resolution for one model.
+
+    ``thickness`` is a radius: that of each capsule (``SegmentPlan.radius``),
+    so a strut of the default 1.2 mm is 2.4 mm across.
+    """
 
     surface: SurfaceParams
     outer_density: int = 8

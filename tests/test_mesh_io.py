@@ -162,6 +162,30 @@ def test_ascii_matches_per_facet_oracle(mesh):
     assert write_stl(mesh, "ascii") == ascii_stl_per_facet(mesh.vertices, mesh.triangles)
 
 
+def same_bits_as_np_cross(a, b):
+    with np.errstate(all="ignore"):  # products may overflow, and inf - inf is NaN, on both sides
+        got, expected = np.stack(mesh_io._cross(list(a.T), list(b.T)), axis=1), np.cross(a, b)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@given(st.lists(st.tuples(*[coordinates] * 9), min_size=1, max_size=20))
+@example([(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0)])
+@example([(F32_MAX, -F32_MAX, F32_TINY, -F32_MAX, F32_MAX, -F32_TINY, 0.0, -0.0, F32_MAX)])
+def test_cross_of_float32_corner_edges_is_np_cross_bit_for_bit(rows):
+    # the writer's edges: float64 differences of float32 corners
+    corners = np.array(rows).astype(np.float32).reshape(-1, 3, 3)
+    p0 = corners[:, 0].astype(np.float64)
+    same_bits_as_np_cross(corners[:, 1] - p0, corners[:, 2] - p0)
+
+
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False)] * 6), min_size=1, max_size=20))
+@example([(0.0, -0.0, 0.0, -0.0, -0.0, 0.0)])
+@example([(1e300, -1e300, 5e-324, -1e300, 1e300, -5e-324)])
+def test_cross_of_float64_edges_is_np_cross_bit_for_bit(rows):
+    edges = np.array(rows, dtype=np.float64)
+    same_bits_as_np_cross(edges[:, :3], edges[:, 3:])
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 7])
 def test_chunk_boundaries_leave_bytes_unchanged(monkeypatch, chunk):
     # 40 triangles: partial last blocks, the half split inside a block at 7, and
@@ -1313,6 +1337,26 @@ def test_every_split_runs_through_on_both():
                 outside.append(f"{path.name}:{node.lineno}")
     assert helpers == 1
     assert outside == []
+
+
+def test_mesh_io_has_one_cross_product():
+    # a second product, np.cross among them, could drift from the one both the writer and
+    # the degenerate count use
+    tree = ast.parse(pathlib.Path(mesh_io.__file__).read_text(encoding="utf-8"))
+
+    def called(node):
+        """The name that a call calls, or "" for any other node."""
+        if not isinstance(node, ast.Call):
+            return ""
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+
+    other = [node.lineno for node in ast.walk(tree)
+             if "cross" in called(node).lower() and called(node) != "_cross"]
+    callers = {function.name for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef)
+               and any(called(node) == "_cross" for node in ast.walk(function))}
+    assert other == []
+    assert callers == {"_fill_records", "_count_degenerate"}
 
 
 def test_bbox():
