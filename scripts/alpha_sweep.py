@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from identispace.geom import SurfaceKind, SurfaceParams, klein_point
+from identispace.wireframe import WireframeSpec
 
 
 def fiber(params: SurfaceParams, i: int, per_step: int) -> np.ndarray:
@@ -44,9 +45,9 @@ def junction_separation(params: SurfaceParams) -> float:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--per-step", type=int, default=8,
+    parser.add_argument("--per-step", type=int, default=WireframeSpec.inner_density,
                         help="samples per grid step (matches inner density)")
-    parser.add_argument("--thickness", type=float, default=1.2,
+    parser.add_argument("--thickness", type=float, default=WireframeSpec.thickness,
                         help="capsule radius used for the overlap note")
     args = parser.parse_args()
 

@@ -182,18 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     spec = wireframe_spec(resolve_config(args))
-    legacy = bool(args.legacy_overshoot)
     res = spec.capsule_resolution
     # a sphere strut has the fewest triangles, so this bounds the count from
     # below before the plan is built
-    planned = segment_count(spec, legacy)
+    planned = segment_count(spec)
     if planned * sphere_counts(res)[1] >= STL_TRIANGLE_LIMIT:
         raise CliError(
             f"{planned * sphere_counts(res)[1]} to {planned * capsule_counts(res)[1]}"
             " triangles exceed the 32-bit STL limit"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        segments = plan_segments(spec, legacy)
+        segments = plan_segments(spec)
     if not (np.isfinite(segments.a).all() and np.isfinite(segments.b).all()):
         raise CliError(f"the {spec.surface.kind.value} surface is not finite on this grid")
     reach = max(np.abs(segments.a).max(), np.abs(segments.b).max()) + spec.thickness

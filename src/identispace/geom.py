@@ -93,9 +93,9 @@ class SurfaceParams:
 
     ``outer_radius``/``inner_radius`` are in millimeters.  ``lat_ribs`` and
     ``long_ribs`` count grid lines in the two parameter directions.
-    ``amplitude`` and ``phase_offset`` only affect the Klein bottle: they
-    control the oscillation that pulls the two halves of each transversal
-    figure-8 fiber apart so the fibers interweave instead of self-intersect.
+    ``amplitude`` only affects the Klein bottle: it scales the oscillation,
+    90 degrees ahead of the fiber, that pulls the two halves of each
+    transversal figure-8 fiber apart so they interweave, not self-intersect.
     """
 
     kind: SurfaceKind
@@ -104,12 +104,11 @@ class SurfaceParams:
     lat_ribs: int = 18
     long_ribs: int = 36
     amplitude: float = 0.25
-    phase_offset: float = 90.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, SurfaceKind):
             raise ValueError(f"kind must be a SurfaceKind, got {self.kind!r}")
-        for name in ("outer_radius", "inner_radius", "amplitude", "phase_offset"):
+        for name in ("outer_radius", "inner_radius", "amplitude"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lat_ribs < 3:
@@ -138,15 +137,15 @@ def torus_point(i: float, j: float, p: SurfaceParams) -> Vec3:
     return _rot_z(profile, v)
 
 
-def half_lemniscate(alpha: float, ampl: float, phase: float = 90.0) -> Vec3:
+def half_lemniscate(alpha: float, ampl: float) -> Vec3:
     """One half of a Gerono figure-8, with an out-of-plane cosine wobble.
 
-    ``alpha`` in [0, 1] walks the half curve; ``ampl`` scales the wobble
-    (0 gives the flat lemniscate exactly).
+    ``alpha`` in [0, 1] walks the half curve; ``ampl`` scales the wobble, a
+    fixed 90 degrees ahead (0 gives the flat lemniscate exactly).
     """
     beta = 90.0 + 180.0 * alpha
     c = cosd(beta)
-    return Vec3(c, sind(beta) * c, ampl * cosd(phase + beta))
+    return Vec3(c, sind(beta) * c, ampl * cosd(90.0 + beta))
 
 
 def _rot_z(v: Vec3, angle: float) -> Vec3:
@@ -164,7 +163,7 @@ def klein_point(i: float, j: float, p: SurfaceParams) -> Vec3:
         raise ValueError("klein_point requires params of kind KLEIN")
     a_i = 360.0 * i / p.lat_ribs
     a_j = 360.0 * j / p.long_ribs
-    fiber = half_lemniscate(a_j / 360.0, p.amplitude, p.phase_offset)
+    fiber = half_lemniscate(a_j / 360.0, p.amplitude)
     pt = Vec3(p.outer_radius, 0.0, 0.0) + _rot_z(fiber.scaled(p.inner_radius), a_i / 2.0)
     pt = Vec3(pt.x, -pt.z, pt.y)  # quarter turn about the x axis
     return _rot_z(pt, a_i)

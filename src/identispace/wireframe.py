@@ -46,10 +46,13 @@ _CHUNK = 1 << 16  # capsule triangles per tessellation block
 
 @dataclass(frozen=True)
 class WireframeSpec:
-    """Densities, strut thickness and tessellation resolution for one model.
+    """Densities, strut thickness, resolution and plan bounds for one model.
 
     ``thickness`` is a radius: that of each capsule (``SegmentPlan.radius``),
-    so a strut of the default 1.2 mm is 2.4 mm across.
+    so a strut of the default 1.2 mm is 2.4 mm across.  ``legacy_overshoot``
+    reproduces the literal loop bounds of the original modeling script, which
+    run one substep past each cell and duplicate a little geometry; the
+    default clamps substeps so counts are exact.
     """
 
     surface: SurfaceParams
@@ -57,6 +60,7 @@ class WireframeSpec:
     inner_density: int = 8
     thickness: float = 1.2
     capsule_resolution: int = 12
+    legacy_overshoot: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.thickness) and self.thickness > 0):
@@ -92,15 +96,11 @@ class SegmentPlan:
         return iter(np.rec.fromarrays((self.a, self.b), dtype=[("a", float, 3), ("b", float, 3)]))
 
 
-def plan_segments(spec: WireframeSpec, legacy_overshoot: bool = False) -> SegmentPlan:
-    """Ordered segment plan; (2*lat_ribs+1)*(long_ribs+1)*(outer+inner) entries.
-
-    ``legacy_overshoot`` reproduces the literal loop bounds of the original
-    modeling script, which run one substep past each cell and duplicate a
-    little geometry; the default clamps substeps so counts are exact.
-    """
+def plan_segments(spec: WireframeSpec) -> SegmentPlan:
+    """Ordered segment plan; (2*lat_ribs+1)*(long_ribs+1)*(outer+inner) entries,
+    or (outer+inner+2) per grid point with ``spec.legacy_overshoot``."""
     p = spec.surface
-    extra = 1 if legacy_overshoot else 0
+    extra = 1 if spec.legacy_overshoot else 0
     i = np.arange(2 * p.lat_ribs + 1, dtype=np.float64)[:, None, None]
     j = np.arange(p.long_ribs + 1, dtype=np.float64)[None, :, None]
 
@@ -115,10 +115,10 @@ def plan_segments(spec: WireframeSpec, legacy_overshoot: bool = False) -> Segmen
     return SegmentPlan(a, b, spec.thickness)
 
 
-def segment_count(spec: WireframeSpec, legacy_overshoot: bool = False) -> int:
-    """``len(plan_segments(spec, legacy_overshoot))``, without planning."""
+def segment_count(spec: WireframeSpec) -> int:
+    """``len(plan_segments(spec))``, without planning."""
     p = spec.surface
-    per_point = spec.outer_density + spec.inner_density + (2 if legacy_overshoot else 0)
+    per_point = spec.outer_density + spec.inner_density + (2 if spec.legacy_overshoot else 0)
     return (2 * p.lat_ribs + 1) * (p.long_ribs + 1) * per_point
 
 
@@ -229,9 +229,9 @@ def sphere_counts(resolution: int) -> tuple[int, int]:
     return _ladder_counts(resolution, 2 * ((resolution + 1) // 2) - 1)
 
 
-def build_wireframe(spec: WireframeSpec, legacy_overshoot: bool = False) -> TriangleMesh:
+def build_wireframe(spec: WireframeSpec) -> TriangleMesh:
     """Tessellate the whole plan; one closed component per segment, in plan order."""
-    return tessellate_segments(plan_segments(spec, legacy_overshoot), spec.capsule_resolution)
+    return tessellate_segments(plan_segments(spec), spec.capsule_resolution)
 
 
 def _tessellate_blocks(plan: SegmentPlan, res: int, is_sphere: np.ndarray, voff: np.ndarray,

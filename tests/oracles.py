@@ -5,7 +5,8 @@ from Fraction/GF(p) Gaussian elimination rather than Smith normal form,
 determinants from Bareiss elimination, degree trig from ``math`` one angle
 at a time, rotations from the axis-angle formula, Euler characteristics from
 raw vertex/edge/face counting, quotient-square grid complexes from a
-union-find over glued grid points, sphere struts from their own
+union-find over glued grid points, the plan's cell complex from ``np.unique``
+over its float32 end bits, sphere struts from their own
 latitude/longitude grid, ASCII STL from one line per format call, ASCII STL
 corners from one ``float`` call per token, and mesh reports from a
 union-find and per-edge use lists.
@@ -21,6 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from identispace.mesh_io import StlError
+from identispace.wireframe import plan_segments
 
 
 def rational_rank(mat) -> int:
@@ -372,6 +374,56 @@ def quotient_grid(space: str, width: int, height: int, rng: random.Random | None
         for level in cells:
             rng.shuffle(level)
     return cells
+
+
+def plan_complex(spec):
+    """Boundary matrices d1, d2 of the cell complex a segment plan traces, and
+    the number of grid squares dropped as repeats.
+
+    Vertices are the distinct float32 bit patterns of the segment ends.  Each
+    distinct pair of distinct welded ends is an edge, oriented from its lower
+    vertex to its higher; a segment whose ends weld together is no edge.  Each
+    grid square (i, j)...(i+1, j+1) is the signed loop of its 2*(outer+inner)
+    segments, and a square whose chain is +- that of a square already kept is
+    dropped.
+    """
+    plan = plan_segments(spec)
+    ends = np.concatenate([plan.a, plan.b]).astype(np.float32).view(np.uint32)
+    _, welded = np.unique(ends, axis=0, return_inverse=True)
+    va, vb = welded.ravel().reshape(2, -1)
+    sign = np.sign(vb - va)  # 0 for a segment whose ends weld together
+    pairs = np.stack([np.minimum(va, vb), np.maximum(va, vb)], axis=1)
+    edges, edge_of = np.unique(pairs[sign != 0], axis=0, return_inverse=True)
+    segment_edge = np.zeros(len(plan), dtype=np.int64)
+    segment_edge[sign != 0] = edge_of.ravel()
+
+    p, od = spec.surface, spec.outer_density
+    index = np.arange(len(plan)).reshape(2 * p.lat_ribs + 1, p.long_ribs + 1, -1)
+    chains, seen, dropped = [], set(), 0
+    for i in range(2 * p.lat_ribs):
+        for j in range(p.long_ribs):
+            loop = [(index[i, j, :od], 1), (index[i + 1, j, od:], 1),
+                    (index[i, j + 1, :od], -1), (index[i, j, od:], -1)]
+            chain: dict[int, int] = {}
+            for segments, side in loop:
+                for s in segments[sign[segments] != 0].tolist():
+                    e = int(segment_edge[s])
+                    chain[e] = chain.get(e, 0) + side * int(sign[s])
+            key = tuple(sorted((e, x) for e, x in chain.items() if x))
+            if key in seen:
+                dropped += 1
+                continue
+            seen.update({key, tuple((e, -x) for e, x in key)})
+            chains.append(key)
+
+    d1 = np.zeros((int(welded.max()) + 1, len(edges)), dtype=np.int64)
+    d1[edges[:, 0], np.arange(len(edges))] = -1
+    d1[edges[:, 1], np.arange(len(edges))] = 1
+    d2 = np.zeros((len(edges), len(chains)), dtype=np.int64)
+    for f, key in enumerate(chains):
+        for e, x in key:
+            d2[e, f] = x
+    return d1, d2, dropped
 
 
 def sphere_vertices(a, b, radius: float, resolution: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -875,9 +876,8 @@ class Planned(Exception):
     """Stops ``generate`` at its first layer call."""
 
 
-def test_generate_defaults_are_the_library_defaults(tmp_path, monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    monkeypatch.chdir(tmp_path)
+def plan_calls(monkeypatch, argv) -> list:
+    """The arguments each ``plan_segments`` call of ``generate`` gets; it stops at the first."""
     calls = []
 
     def plan(*args, **kwargs):
@@ -886,9 +886,25 @@ def test_generate_defaults_are_the_library_defaults(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "plan_segments", plan)
     with pytest.raises(Planned):
-        main(["generate"])
-    assert calls == [((WireframeSpec(SurfaceParams(SurfaceKind.TORUS)), False), {})]
+        main(["generate", *argv])
+    return calls
+
+
+def test_generate_defaults_are_the_library_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert plan_calls(monkeypatch, []) == [((WireframeSpec(SurfaceParams(SurfaceKind.TORUS)),), {})]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--legacy-overshoot"], ["--config", "run.cfg"]],
+                         ids=["flag", "config"])
+def test_legacy_overshoot_reaches_the_plan_in_its_spec(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("legacy-overshoot = true\n")
+    spec = WireframeSpec(SurfaceParams(SurfaceKind.TORUS), legacy_overshoot=True)
+    assert plan_calls(monkeypatch, argv) == [((spec,), {})]
 
 
 def test_one_config_file_serves_every_subcommand(tmp_path, capsys, monkeypatch):
@@ -987,3 +1003,19 @@ def test_traced_cli_reports_every_layer_once(tmp_path):
     assert write["counts"]["bytes"] == read["counts"]["bytes"] == size
     # the benchmark's own reader of the spans accepts them
     bench.geometry_layers(bench.Op(spans=spans, detail={"generate_s": 1.0, "validate_s": 1.0}))
+
+
+def test_benchmark_checks_pass_on_its_probes(tmp_path, monkeypatch):
+    """The benchmark's own checks accept the program on its probe inputs, so a
+    change to what it imports, calls or parses fails here first."""
+    bench = load_benchmark()
+    monkeypatch.setattr(bench, "SRC", str(ROOT / "src"))
+    expect = bench.expected_counts(bench.PROBE_GEOMETRY)
+    deadline = time.perf_counter() + 120.0
+    path = str(tmp_path / "probe.stl")
+    child, errors = bench.generate_step(bench.PROBE_GEOMETRY, path, expect, deadline)
+    assert errors == [], child.out
+    child, errors = bench.validate_step(path, expect, deadline)
+    assert errors == [], child.out
+    grid = bench.PROBE_GRID
+    assert bench.homology_op(bench.workload_inputs(grid.width, grid.height, None)).errors == []

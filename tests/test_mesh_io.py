@@ -745,8 +745,8 @@ WELD_PINS = [
 def test_weld_output_is_pinned(kind, grid, res, legacy, vertices_sha, triangles_sha):
     surface = SurfaceParams(kind, lat_ribs=grid[0], long_ribs=grid[1])
     spec = WireframeSpec(surface, outer_density=2, inner_density=2, thickness=1.2,
-                         capsule_resolution=res)
-    back = read_stl(bytes(write_stl(build_wireframe(spec, legacy))))
+                         capsule_resolution=res, legacy_overshoot=legacy)
+    back = read_stl(bytes(write_stl(build_wireframe(spec))))
     assert hashlib.sha256(back.vertices.tobytes()).hexdigest() == vertices_sha
     assert hashlib.sha256(back.triangles.tobytes()).hexdigest() == triangles_sha
 
@@ -757,9 +757,9 @@ def test_mapped_weld_output_is_pinned(tmp_path, kind, grid, res, legacy, vertice
                                       triangles_sha):
     surface = SurfaceParams(kind, lat_ribs=grid[0], long_ribs=grid[1])
     spec = WireframeSpec(surface, outer_density=2, inner_density=2, thickness=1.2,
-                         capsule_resolution=res)
+                         capsule_resolution=res, legacy_overshoot=legacy)
     path = tmp_path / "m.stl"
-    path.write_bytes(write_stl(build_wireframe(spec, legacy)))
+    path.write_bytes(write_stl(build_wireframe(spec)))
     mapping = read_only_mapping(path)
     back = read_stl(mapping)
     assert hashlib.sha256(back.vertices.tobytes()).hexdigest() == vertices_sha

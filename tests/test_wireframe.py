@@ -11,6 +11,7 @@ import pytest
 from identispace import wireframe
 from identispace.geom import SurfaceKind, SurfaceParams, surface_point
 from identispace.mesh_io import validate, write_stl
+from identispace.topology import AbelianGroup, ChainComplex, homology
 from identispace.wireframe import (
     SPHERE_EPS,
     SegmentPlan,
@@ -27,6 +28,7 @@ from identispace.wireframe import (
 from oracles import (
     mesh_edge_uses,
     mesh_euler_characteristic,
+    plan_complex,
     point_segment_distance,
     sphere_vertices,
 )
@@ -129,10 +131,10 @@ def test_plan_deterministic():
 
 
 def test_legacy_overshoot_counts():
-    spec = small_spec()
-    segs = plan_segments(spec, legacy_overshoot=True)
+    spec = small_spec(legacy_overshoot=True)
+    segs = plan_segments(spec)
     assert len(segs) == loop_count_oracle(3, 3, 1, 1, extra=1) == 112
-    assert segment_count(spec, legacy_overshoot=True) == 112
+    assert segment_count(spec) == 112
 
 
 def test_outer_rib_stays_on_profile_circle():
@@ -346,8 +348,9 @@ def test_draft_stl_golden_hashes(kind, grid, density, res, legacy, fmt, digest):
     surface = SurfaceParams(kind, lat_ribs=grid[0], long_ribs=grid[1])
     thickness = 1.0 if grid == (4, 4) else 1.2
     spec = WireframeSpec(surface, outer_density=density, inner_density=density,
-                         thickness=thickness, capsule_resolution=res)
-    data = write_stl(build_wireframe(spec, legacy), fmt)
+                         thickness=thickness, capsule_resolution=res,
+                         legacy_overshoot=legacy)
+    data = write_stl(build_wireframe(spec), fmt)
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -370,6 +373,27 @@ def test_roman_pinch_columns_degenerate_to_spheres():
     report = validate(mesh)
     assert report.all_watertight
     assert np.all(report.euler_characteristic_per_component == 2)
+
+
+@pytest.mark.parametrize(
+    "kind, cells, dropped, groups",
+    [
+        # the doubled i-range traces every torus square twice
+        (SurfaceKind.TORUS, (600, 640, 40), 40,
+         (AbelianGroup(1), AbelianGroup(2), AbelianGroup(1))),
+        (SurfaceKind.KLEIN, (1200, 1280, 80), 0,
+         (AbelianGroup(1), AbelianGroup(1, (2,)), AbelianGroup(0))),
+    ],
+    ids=["torus", "klein"],
+)
+def test_plan_complex_homology(kind, cells, dropped, groups):
+    # the wireframe the planner lays out, welded on float32 bits, is the surface
+    d1, d2, repeats = plan_complex(WireframeSpec(SurfaceParams(kind, lat_ribs=5, long_ribs=8)))
+    assert (d1.shape[0], *d2.shape) == cells
+    assert repeats == dropped
+    labels = tuple(tuple(f"{c}{n}" for n in range(size)) for c, size in zip("vef", cells))
+    complex_ = ChainComplex((d1, d2), labels)
+    assert tuple(homology(complex_, k) for k in range(3)) == groups
 
 
 def test_spec_validation():
