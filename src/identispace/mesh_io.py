@@ -50,16 +50,15 @@ _XYZ = np.dtype([("xyz", "<f8", 3)])  # an ASCII vertex row: loadtxt demands exa
 _CHUNK = 1 << 16  # triangles per block for memory-bounded passes
 _BLOCK = 16 * _CHUNK  # triangles that validate checks at a time, where the mesh can be cut
 _VERTEX_LIMIT = 2**31  # welded vertices are indexed by int32
-_FACET = (  # filled with values already formatted by "%.9g"
-    "  facet normal %s %s %s\n    outer loop\n"
-    + "      vertex %s %s %s\n" * 3
-    + "    endloop\n  endfacet\n"
-)
+# an ASCII facet's text around its 12 numbers: the normal, then the three corners
+_FACET_TEXT = (b"  facet normal ", b" ", b" ", b"\n    outer loop\n      vertex ", b" ", b" ",
+               *(b"\n      vertex ", b" ", b" ") * 2, b"\n    endloop\n  endfacet\n")
 # The other line breaks of str.splitlines become "\n", so a data line follows a "\n" (the
 # first line is "solid"); str.split also splits at \x1f.  A vertex row follows the first token.
 _BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _NEWLINES = bytes.maketrans(b"".join(_BREAKS), b"\n" * len(_BREAKS))
-_TEXT_CHUNK = 1 << 20  # bytes of text translated at a time
+_LINE_BREAK = re.compile(b"[\n%s]" % b"".join(_BREAKS))
+_TEXT_CHUNK = 1 << 20  # bytes of text parsed at a time, up to the next line break
 _SOLID = re.compile(rb"[ \t\n\r\x0b\x0c]*solid")  # after the whitespace bytes.lstrip() strips
 _FACET_LINE = re.compile(rb"\n[ \t\x1f]*facet normal")
 _VERTEX_ROW = re.compile(rb"\n[ \t\x1f]*vertex[^\s\x1f]*[ \t\x1f]*([^\n]*)")
@@ -206,6 +205,19 @@ def _fill_records(records: np.ndarray, vertices: np.ndarray, triangles: np.ndarr
         release(84 + 50 * at, 84 + 50 * end)
 
 
+def _digits(values: np.ndarray) -> tuple:
+    """The S16 ``"%.9g"`` text of each distinct float32 of ``values``, and each value's index in it.
+
+    Distinct is by bits, so -0.0 and 0.0 differ; the texts are formatted ``_CHUNK`` at a time.
+    """
+    bits, ids = np.unique(values.view(np.uint32), return_inverse=True)
+    floats, digits = bits.view(np.float32), np.empty(len(bits), "S16")
+    step = max(_CHUNK, 1)
+    for at in range(0, len(bits), step):
+        digits[at : at + step] = [b"%.9g" % v for v in floats[at : at + step].tolist()]
+    return digits, ids.reshape(values.shape).astype(np.int32)
+
+
 def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
     """Serialize to STL bytes, returned as a ``bytearray`` in both modes, or write them to ``out``.
 
@@ -216,9 +228,11 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
     ``_CHUNK // 2`` triangles, so the file is never copied, and the corners
     go into them a coordinate at a time, so there is neither a float32 copy
     of the vertices nor a (k,3,3) float64 gather of corners.  ASCII mode
-    formats those records ``_CHUNK`` at a time into one growing ``bytearray``,
-    emitting the float32-rounded coordinates with 9 significant digits so
-    both modes parse back to identical meshes.
+    formats each distinct float32 of the vertices, and of the records'
+    normals, once (``_digits``).  It lays out ``_CHUNK // 8`` facets at a
+    time as fixed-width records, and strips their NUL padding as they join
+    one growing ``bytearray``.  The float32-rounded coordinates print with 9
+    significant digits, so both modes parse back to identical meshes.
     A vertex that is not finite once rounded to float32 raises ``ValueError``.
 
     ``out`` is a file to write to.  Where it is a regular file opened
@@ -258,13 +272,26 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
 
     name = STL_HEADER_TAG.decode("ascii")
     text = bytearray(f"solid {name}\n".encode("ascii"))
-    for start in range(0, n, _CHUNK):
-        chunk = records[start : start + _CHUNK]
-        values = np.concatenate([chunk["normal"], chunk["corners"].reshape(-1, 9)], axis=1)
-        # each distinct float32 is formatted once; the bits keep -0.0 apart from 0.0
-        bits, at = np.unique(values.view(np.uint32), return_inverse=True)
-        digits = np.array(["%.9g" % v for v in bits.view(np.float32).tolist()], dtype=object)
-        text += ((_FACET * len(chunk)) % tuple(digits[at.ravel()].tolist())).encode("ascii")
+    xyz_digits, xyz_ids = _digits(mesh.vertices.astype(np.float32))
+    normal_digits, normal_ids = _digits(records["normal"])
+    del binary, records, fill  # the records were kept only for their normals
+    # _FACET_TEXT in fixed fields, each number NUL-padded in an S16 slot (15 bytes at most);
+    # built here, as on import it raised a process's peak RSS by about 0.3 MiB
+    facet = np.dtype([field for k, piece in enumerate(_FACET_TEXT)
+                      for field in ((f"text{k}", f"S{len(piece)}"), (f"number{k}", "S16"))][:-1])
+    step = max(_CHUNK // 8, 1)
+    layout = bytearray(min(step, n) * facet.itemsize)
+    block = np.frombuffer(layout, facet)
+    for k, literal in enumerate(_FACET_TEXT):
+        block[f"text{k}"] = literal
+    for start in range(0, n, step):
+        t = mesh.triangles[start : start + step]
+        facets = block[: len(t)]
+        for axis in range(3):
+            facets[f"number{axis}"] = normal_digits[normal_ids[start : start + len(t), axis]]
+            for corner in range(3):
+                facets[f"number{3 + 3 * corner + axis}"] = xyz_digits[xyz_ids[t[:, corner], axis]]
+        text += (layout if len(t) == len(block) else layout[: facets.nbytes]).translate(None, b"\0")
     text += f"endsolid {name}\n".encode("ascii")
     if out is not None:
         out.write(text)
@@ -494,31 +521,44 @@ def _parse_binary(data) -> np.ndarray:
 def _parse_ascii(data, release=_ignore) -> np.ndarray:
     """(T,3,3) float32 corners: three ``vertex`` rows per ``facet normal`` line.
 
-    The text is scanned where it lies.  It is copied, ``_TEXT_CHUNK`` bytes
-    at a time, only when it holds other line breaks than line feeds, to turn
-    them into line feeds.  ``release(0, len(data))`` is called once the rows
-    are collected.
+    The text goes in line-aligned slices: each ends at the first line break
+    (or the end) ``_TEXT_CHUNK`` bytes or more on.  A slice is scanned where
+    it lies, or copied to turn other line breaks into line feeds; only its
+    float32 corners are kept, and ``release`` is told its bytes from the page
+    holding the previous slice's end.  A count error wins over a malformed row.
     """
-    if np.frombuffer(data, np.uint8).max(initial=0) >= 0x80:
-        raise StlError("ASCII STL has non-ASCII bytes")
+    import mmap
+
     text = data if hasattr(data, "find") else bytes(data)  # a memoryview has no find
-    if any(text.find(byte) >= 0 for byte in _BREAKS):
-        lines = bytearray(len(text))
-        for at in range(0, len(text), _TEXT_CHUNK):
-            lines[at : at + _TEXT_CHUNK] = text[at : at + _TEXT_CHUNK].translate(_NEWLINES)
-        text = lines
-    rows, facets = _VERTEX_ROW.findall(text), len(_FACET_LINE.findall(text))
-    del text
-    release(0, len(data))
-    if len(rows) != 3 * facets or not all(rows):  # loadtxt would skip a blank row
+    parts, facets, rows, blanks, malformed, at = [], 0, 0, 0, None, 0
+    while at < len(text):
+        brk = _LINE_BREAK.search(text, at + max(_TEXT_CHUNK, 1))
+        end = brk.start() if brk else len(text)
+        if np.frombuffer(text, np.uint8, end - at, at).max() >= 0x80:
+            raise StlError("ASCII STL has non-ASCII bytes")
+        piece, lo, hi = text, at, end
+        if any(text.find(byte, at, end) >= 0 for byte in _BREAKS):
+            piece, lo, hi = text[at:end].translate(_NEWLINES), 0, end - at
+        found = _VERTEX_ROW.findall(piece, lo, hi)
+        facets += len(_FACET_LINE.findall(piece, lo, hi))
+        blanks += found.count(b"")  # loadtxt would skip a blank row; the count error wins
+        if found and not blanks and malformed is None:
+            try:
+                coords = np.loadtxt(found, _XYZ, comments=None)["xyz"].reshape(-1, 3)
+                with np.errstate(over="ignore"):  # past float32 becomes inf, which _weld rejects
+                    parts.append(coords.astype(np.float32))
+            except ValueError as exc:  # its row number counts the rows of the slices before
+                malformed = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + rows}",
+                                   str(exc).partition(";")[0])
+        rows += len(found)
+        release(at - at % mmap.PAGESIZE, end)
+        at = end
+    if rows != 3 * facets or blanks:
         raise StlError(f"{facets} facets need {3 * facets} vertex rows with coordinates; "
-                       f"found {len(rows)}, {rows.count(b'')} of them without")
-    try:
-        coords = np.loadtxt(rows, _XYZ, comments=None)["xyz"] if rows else np.zeros((0, 3))
-    except ValueError as exc:
-        raise StlError(f"malformed vertex row: {str(exc).partition(';')[0]}") from None
-    with np.errstate(over="ignore"):  # out-of-range values become inf, which _weld rejects
-        return coords.astype(np.float32).reshape(-1, 3, 3)
+                       f"found {rows}, {blanks} of them without")
+    if malformed is not None:
+        raise StlError(f"malformed vertex row: {malformed}")
+    return np.concatenate([np.empty((0, 3), np.float32), *parts]).reshape(-1, 3, 3)
 
 
 def read_stl(data) -> TriangleMesh:
@@ -528,16 +568,16 @@ def read_stl(data) -> TriangleMesh:
     ``memoryview`` or an ``mmap``.  Triangle order is preserved; vertices
     sort by their (x, y, z) float32 bit patterns read as uint32, so
     1.0 < 2.0 < -0.0.  Beside ``data`` (and the corners ``_parse_ascii``
-    decodes from text), the weld holds 4 bytes per corner plus the
-    block-unique rows, and its sorts are one-word ``np.argsort`` calls.  A
-    file with ``_VERTEX_LIMIT`` (2**31) or more
-    distinct vertices, past the int32 vertex index, raises ``StlError``,
-    whether one side of the ranking or the two together reach it.
+    decodes from text, a slice at a time), the weld holds 4 bytes per corner
+    plus the block-unique rows, and its sorts are one-word ``np.argsort``
+    calls.  A file with ``_VERTEX_LIMIT`` (2**31) or more distinct vertices,
+    past the int32 vertex index, raises ``StlError``, whether one side of
+    the ranking or the two together reach it.
 
     A read-only mapping of the file (``mmap.ACCESS_READ``) is not held
     resident: the weld drops each block's pages once the block is
-    deduplicated, and the ASCII parse drops the text once its rows are
-    collected.  The mapping's contents are unchanged, and it may be read again.
+    deduplicated, and the ASCII parse drops each slice's pages once it is
+    parsed.  The mapping's contents are unchanged, and it may be read again.
     """
     release = _page_release(data)
     if not _SOLID.match(data):

@@ -156,8 +156,20 @@ ZERO_AREA_AND_EXTREMES = TriangleMesh(
 )
 
 
+# every coordinate prints at the widest "%.9g" length of a float32, 15 bytes
+WIDEST = TriangleMesh(
+    np.array([(-1.17549435e-38, -2.34567901e-37, -9.87654314e-36),
+              (-1.23456793e-25, -1.17549435e-38, -3.14159279e-21),
+              (-9.87654314e-36, -3.14159279e-21, -1.23456793e-25)]),
+    np.array([(0, 1, 2), (2, 1, 0), (1, 1, 0)], np.int32),
+)
+
+
 @given(random_meshes())
 @example(ZERO_AREA_AND_EXTREMES)
+@example(TriangleMesh(np.array([(1.5, -0.0, F32_MAX)]), np.zeros((0, 3), np.int32)))
+@example(TriangleMesh(ZERO_AREA_AND_EXTREMES.vertices, [(4, 1, 3)]))  # vertices 0 and 2 unused
+@example(WIDEST)
 def test_ascii_matches_per_facet_oracle(mesh):
     assert write_stl(mesh, "ascii") == ascii_stl_per_facet(mesh.vertices, mesh.triangles)
 
@@ -186,10 +198,11 @@ def test_cross_of_float64_edges_is_np_cross_bit_for_bit(rows):
     same_bits_as_np_cross(edges[:, :3], edges[:, 3:])
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 56])
 def test_chunk_boundaries_leave_bytes_unchanged(monkeypatch, chunk):
-    # 40 triangles: partial last blocks, the half split inside a block at 7, and
-    # the _CHUNK // 2 record blocks clamped to one triangle at 1
+    # 40 triangles: partial last blocks, the half split inside a block at 7, the
+    # _CHUNK // 2 record blocks clamped to one triangle at 1, and _CHUNK // 8 text
+    # blocks of one facet below 16 and of 7 facets, the last one of 5, at 56
     mesh = one_capsule((0.1, 0.2, 0.3), (1, 2, 3), 0.45, 5)
     whole = write_stl(mesh, "binary"), write_stl(mesh, "ascii")
     monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
@@ -305,6 +318,34 @@ def one_facet(*vertex_lines, eol="\n", tail="") -> bytes:
 @example(one_facet("vertexes 1 2 3", "vertex 1 2 3", "vertex 1 2 3"))
 @example(one_facet("vertex\t\x1f", "vertex 1 2 3", "vertex 1 2 3"))  # whitespace-only row
 def test_ascii_parse_matches_per_line_oracle(data):
+    parses_as_the_oracle(data)
+
+
+@settings(max_examples=150)
+@given(ascii_stl_texts())
+@example(one_facet("vertex " + " " * 80 + "1 2 3", "vertex 4 5 6", "vertex 7 8 9", eol="\r\n"))
+@example(one_facet(*["vertex 1 2 3"] * 3, tail="vertex 1" + " " * 70 + "2 zebra"))
+def test_ascii_parse_in_small_slices_matches_per_line_oracle(data):
+    # 64-byte slices end inside the file, and a line longer than a slice widens its slice
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mesh_io, "_TEXT_CHUNK", 64)
+        parses_as_the_oracle(data)
+
+
+@pytest.mark.parametrize("chunk", [64, mesh_io._TEXT_CHUNK])
+def test_ascii_errors_do_not_depend_on_the_slices(monkeypatch, chunk):
+    monkeypatch.setattr(mesh_io, "_TEXT_CHUNK", chunk)
+    wide = "vertex 1 2 3" + " " * 64  # a slice of its own at 64
+    # the row number counts the rows of the slices before
+    with pytest.raises(StlError, match=r"^malformed vertex row: could not convert string "
+                                       r"'zebra' to float64 at row 2, column 3\.$"):
+        mesh_io._parse_ascii(one_facet(wide, wide, "vertex 1 2 zebra"))
+    # a count error after the slice of a malformed row still wins
+    with pytest.raises(StlError, match="^1 facets need 3 vertex rows"):
+        mesh_io._parse_ascii(one_facet("vertex 1 2 zebra", wide, wide, tail=wide))
+
+
+def parses_as_the_oracle(data):
     try:
         expected = ascii_corners_per_line(data)
     except StlError:
@@ -346,25 +387,27 @@ def ten_capsules() -> TriangleMesh:
 
 
 def stl_flavours() -> dict:
-    """``ten_capsules`` in four spellings."""
+    """``ten_capsules`` in five spellings."""
     mesh = ten_capsules()
     binary, text = bytes(write_stl(mesh)), bytes(write_stl(mesh, "ascii"))
     return {
         "binary": binary,
         "ascii-lf": text,
         "ascii-crlf": text.replace(b"\n", b"\r\n"),
+        "ascii-cr": text.replace(b"\n", b"\r"),
         "binary-solid": b"solid" + binary[5:],
     }
 
 
-@pytest.mark.parametrize("flavour", ["binary", "ascii-lf", "ascii-crlf", "binary-solid"])
+@pytest.mark.parametrize("flavour", ["binary", "ascii-lf", "ascii-crlf", "ascii-cr", "binary-solid"])
 def test_every_buffer_reads_alike(tmp_path, monkeypatch, flavour):
-    data = stl_flavours()[flavour]
+    flavours = stl_flavours()
+    data = flavours[flavour]
     path = tmp_path / "m.stl"
     path.write_bytes(data)
     monkeypatch.setattr(mesh_io, "_CHUNK", 512)  # 6 weld blocks, each past a page
-    monkeypatch.setattr(mesh_io, "_TEXT_CHUNK", 4093)  # translated chunks end mid-line
-    expected = read_stl(data)
+    monkeypatch.setattr(mesh_io, "_TEXT_CHUNK", 4093)  # about 190 text slices, each past a page
+    expected = read_stl(flavours["binary"])
     assert expected.triangle_count == 2880
     mapping = read_only_mapping(path)
     for buffer in (bytearray(data), memoryview(data), mapping, mapping):  # the mapping twice
@@ -392,6 +435,7 @@ def test_mapped_read_releases_what_it_has_read(tmp_path, monkeypatch, flavour):
         return record
 
     monkeypatch.setattr(mesh_io, "_CHUNK", 512)
+    monkeypatch.setattr(mesh_io, "_TEXT_CHUNK", 4093)
     monkeypatch.setattr(mesh_io, "_page_release", recorded)
     mapping = read_only_mapping(path)
     read_stl(mapping)
@@ -399,8 +443,10 @@ def test_mapped_read_releases_what_it_has_read(tmp_path, monkeypatch, flavour):
         n = 2880
         assert sorted(released) == [(84 + 50 * at, 84 + 50 * min(at + 512, n))
                                     for at in range(0, n, 512)]
-    else:  # the whole text, once the rows are collected
-        assert released == [(0, len(data))]
+    else:  # each slice of text once it is parsed, in order, from the page of the last one's end
+        assert len(released) > 100 and released[0][0] == 0 and released[-1][1] == len(data)
+        for (first, end), (start, stop) in zip(released, released[1:]):
+            assert first <= start <= end // mmap.PAGESIZE * mmap.PAGESIZE and end < stop
     mapping.close()
 
 
@@ -1435,6 +1481,13 @@ def test_read_peak(torus_6x12):
     # a global lexsort of every corner's 96-bit key reaches 78
     data = bytes(write_stl(torus_6x12))
     assert peak_bytes_per_triangle(read_stl, data) < 64
+
+
+def test_ascii_read_peak(torus_6x12):
+    # the whole-text parse, a bytes object per vertex row before loadtxt, reaches 329;
+    # the float32 corners of the slices and then the weld beside them reach about 80
+    data = bytes(write_stl(torus_6x12, "ascii"))
+    assert peak_bytes_per_triangle(read_stl, data) < 100
 
 
 def test_validate_read_back_peak(torus_6x12):
