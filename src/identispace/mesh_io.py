@@ -210,12 +210,30 @@ def _digits(values: np.ndarray) -> tuple:
 
     Distinct is by bits, so -0.0 and 0.0 differ; the texts are formatted ``_CHUNK`` at a time.
     """
-    bits, ids = np.unique(values.view(np.uint32), return_inverse=True)
+    order = np.argsort(values.view(np.uint32), axis=None)
+    ordered = values.view(np.uint32).take(order)
+    first = np.empty(values.size, bool)
+    first[:1], first[1:] = True, ordered[1:] != ordered[:-1]
+    bits, ids = ordered[first], ordered.view(np.int32)  # the ids take the sorted bits' place
+    ids[order] = np.cumsum(first, dtype=np.int32)  # np.unique's inverse, counted in int32
+    ids -= 1
     floats, digits = bits.view(np.float32), np.empty(len(bits), "S16")
     step = max(_CHUNK, 1)
     for at in range(0, len(bits), step):
         digits[at : at + step] = [b"%.9g" % v for v in floats[at : at + step].tolist()]
-    return digits, ids.reshape(values.shape).astype(np.int32)
+    return digits, ids.reshape(values.shape)
+
+
+def _normals(mesh: TriangleMesh) -> np.ndarray:
+    """The (n,3) float32 normals of ``_fill_records``, ``_CHUNK`` at a time in one reused block."""
+    n, step = mesh.triangle_count, max(_CHUNK, 1)
+    normals, block = np.empty((n, 3), np.float32), np.empty(min(step, n), _RECORD)
+    for at in range(0, n, step):
+        t = mesh.triangles[at : at + step]
+        fill = partial(_fill_records, block, mesh.vertices, t)
+        _on_both(partial(fill, 0, len(t) // 2), partial(fill, len(t) // 2, len(t)))
+        normals[at : at + len(t)] = block["normal"][: len(t)]
+    return normals
 
 
 def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
@@ -229,21 +247,21 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
     go into them a coordinate at a time, so there is neither a float32 copy
     of the vertices nor a (k,3,3) float64 gather of corners.  ASCII mode
     formats each distinct float32 of the vertices, and of the records'
-    normals, once (``_digits``).  It lays out ``_CHUNK // 8`` facets at a
-    time as fixed-width records, and strips their NUL padding as they join
-    one growing ``bytearray``.  The float32-rounded coordinates print with 9
-    significant digits, so both modes parse back to identical meshes.
+    normals (``_normals``), once (``_digits``).  It lays out ``_CHUNK // 8``
+    facets at a time as fixed-width records and strips their NUL padding.
+    The float32-rounded coordinates print with 9 significant digits, so
+    both modes parse back to identical meshes.
     A vertex that is not finite once rounded to float32 raises ``ValueError``.
 
-    ``out`` is a file to write to.  Where it is a regular file opened
-    read-write (``"w+b"``) whose first 84 + 50*n bytes are allocated
-    (``os.posix_fallocate``), the binary file is filled in place in those
-    bytes.  They are mapped shared, and each block's whole pages are dropped
-    once they are filled: their bytes stay in the page cache, so the file is
-    not held resident.  The mapping is returned; its ``len()`` is the file
-    size.  Anything else (ASCII text, a write-only descriptor, a file system
-    without shared mappings, fewer bytes allocated) is written to ``out``
-    whole and returned.
+    ``out`` is a file to write from its start.  A regular file opened
+    read-write (``"w+b"``) is mapped shared and the mapping returned; its
+    ``len()`` is the file size.  Binary records are filled in place in its
+    first 84 + 50*n bytes, if they are allocated (``os.posix_fallocate``),
+    and each block's whole pages are dropped once filled: they stay in the
+    page cache, so the file is not held resident.  ASCII text is written a
+    block at a time as it is made.  Anything else (a write-only descriptor,
+    a pipe, a device, a file system without shared mappings, fewer bytes
+    allocated) is written whole, after the ASCII ``solid`` line, and returned.
     """
     if mode not in ("binary", "ascii"):
         raise ValueError(f"mode must be 'binary' or 'ascii', got {mode!r}")
@@ -257,7 +275,9 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
             if not np.isfinite(mesh.vertices[start : start + step].astype("<f4")).all():
                 raise ValueError("a vertex is not finite in float32, the STL coordinate type")
 
-    mapping = None if out is None or mode != "binary" else _map_file(out, 84 + 50 * n)
+    if mode == "ascii":
+        return _write_text(mesh, out)
+    mapping = None if out is None else _map_file(out, 84 + 50 * n)
     binary = bytearray(84 + 50 * n) if mapping is None else mapping
     release = _ignore if mapping is None else _drop_pages(mapping)
     binary[:80] = STL_HEADER_TAG.ljust(80, b"\0")
@@ -265,16 +285,23 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
     records = np.frombuffer(binary, _RECORD, count=n, offset=84)
     fill = partial(_fill_records, records, mesh.vertices, mesh.triangles)
     _on_both(partial(fill, 0, n // 2, release), partial(fill, n // 2, n, release))
-    if mode == "binary":
-        if out is not None and mapping is None:
-            out.write(binary)
-        return binary
+    if out is not None and mapping is None:
+        out.write(binary)
+    return binary
 
-    name = STL_HEADER_TAG.decode("ascii")
-    text = bytearray(f"solid {name}\n".encode("ascii"))
+
+def _write_text(mesh: TriangleMesh, out):
+    """``write_stl(mesh, "ascii", out)`` once the mesh is checked."""
+    n, name = mesh.triangle_count, STL_HEADER_TAG.decode("ascii")
+    head, tail = f"solid {name}\n".encode("ascii"), f"endsolid {name}\n".encode("ascii")
+    streamed, text = False, bytearray(head)
+    if out is not None:  # the solid line goes first, so that a file shows whether it maps back
+        out.write(head)
+        out.flush()
+        streamed = _map_file(out, len(head)) is not None  # the probe is unmapped as it is freed
+    emit = out.write if streamed else text.extend
     xyz_digits, xyz_ids = _digits(mesh.vertices.astype(np.float32))
-    normal_digits, normal_ids = _digits(records["normal"])
-    del binary, records, fill  # the records were kept only for their normals
+    normal_digits, normal_ids = _digits(_normals(mesh))
     # _FACET_TEXT in fixed fields, each number NUL-padded in an S16 slot (15 bytes at most);
     # built here, as on import it raised a process's peak RSS by about 0.3 MiB
     facet = np.dtype([field for k, piece in enumerate(_FACET_TEXT)
@@ -291,10 +318,13 @@ def write_stl(mesh: TriangleMesh, mode: str = "binary", out=None):
             facets[f"number{axis}"] = normal_digits[normal_ids[start : start + len(t), axis]]
             for corner in range(3):
                 facets[f"number{3 + 3 * corner + axis}"] = xyz_digits[xyz_ids[t[:, corner], axis]]
-        text += (layout if len(t) == len(block) else layout[: facets.nbytes]).translate(None, b"\0")
-    text += f"endsolid {name}\n".encode("ascii")
+        emit((layout if len(t) == len(block) else layout[: facets.nbytes]).translate(None, b"\0"))
+    emit(tail)
+    if streamed:
+        out.flush()
+        return _map_file(out, out.tell())
     if out is not None:
-        out.write(text)
+        out.write(memoryview(text)[len(head) :])  # the solid line is there already
     return text
 
 

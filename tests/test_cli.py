@@ -1,5 +1,6 @@
 import errno
 import importlib.util
+import io
 import json
 import os
 import struct
@@ -458,6 +459,37 @@ def test_generate_out_of_memory_removes_only_a_regular_output(tmp_path, capsys, 
     assert not reader.is_alive()
     assert not out.exists()
     assert fifo.exists() and got == [b""]
+
+
+class FullDisk(io.BufferedRandom):
+    """A read-write file that runs out of space once its first line is written."""
+
+    def write(self, data):
+        if self.tell():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+
+@pytest.mark.parametrize("failure", ["memory", "disk"])
+def test_generate_ascii_failure_after_the_solid_line_removes_it(tmp_path, capsys, monkeypatch,
+                                                                failure):
+    # the text is streamed into the file, so a failure leaves part of it on disk
+    out, digits, on_disk = tmp_path / "x.stl", mesh_io._digits, []
+
+    def second_fails(values):
+        on_disk.append(out.read_bytes())
+        if len(on_disk) == 2 and failure == "memory":
+            raise MemoryError
+        return digits(values)
+
+    monkeypatch.setattr(mesh_io, "_digits", second_fails)
+    if failure == "disk":
+        monkeypatch.setattr(cli, "_open_output", lambda path: FullDisk(io.FileIO(path, "w+")))
+    err = {"memory": "error: out of memory\n",
+           "disk": f"error: cannot write {out}: [Errno 28] No space left on device\n"}[failure]
+    assert run(["generate", *SMALL, "--ascii", "--output", str(out)], capsys) == (2, "", err)
+    assert on_disk == [b"solid identispace-forge\n"] * 2
+    assert not out.exists()
 
 
 def test_generate_interrupted_removes_its_output(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import mmap
+import os
 import pathlib
 import struct
 import sys
@@ -525,13 +526,60 @@ def test_unmappable_file_is_written_whole(tmp_path):
     assert memory.getvalue() == expected
 
 
-def test_write_ascii_into_a_file(tmp_path):
-    # ASCII text is written whole, and the file holds exactly the text returned
+class WriteLog:
+    """A file object's write, flush, fileno and tell, keeping a copy of each write."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.fh.write(data)
+
+    def flush(self):
+        self.fh.flush()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def tell(self):
+        return self.fh.tell()
+
+
+@pytest.mark.parametrize("chunk", [2, mesh_io._CHUNK])
+def test_write_ascii_into_a_file(tmp_path, monkeypatch, chunk):
+    # a file opened read-write gets the solid line, each block of facets and the
+    # endsolid line as they are made; the file is mapped back and returned
+    monkeypatch.setattr(mesh_io, "_CHUNK", chunk)
+    mesh = one_capsule((0, 1, 2), (3, -1, 0.5), 0.6, 9)
+    expected = bytes(write_stl(mesh, "ascii"))
     path = tmp_path / "out.stl"
     with open(path, "w+b") as fh:
-        text = write_stl(ten_capsules(), "ascii", out=fh)
-    assert text == write_stl(ten_capsules(), "ascii")
-    assert path.read_bytes() == text
+        log = WriteLog(fh)
+        mapping = write_stl(mesh, "ascii", out=log)
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == len(expected)
+    assert mapping[:] == expected
+    mapping.close()
+    assert path.read_bytes() == expected
+    blocks = -(-mesh.triangle_count // max(chunk // 8, 1))
+    assert log.writes[0] == b"solid identispace-forge\n" and len(log.writes) == blocks + 2
+    assert log.writes[-1] == b"endsolid identispace-forge\n"
+    assert b"".join(log.writes) == expected
+
+
+def test_unmappable_file_is_written_whole_as_text(tmp_path):
+    # a write-only descriptor, a device opened read-write and a file object without a
+    # descriptor get the solid line, then the rest of the text in one write
+    mesh = tetrahedron()
+    expected = bytes(write_stl(mesh, "ascii"))
+    head = len(b"solid identispace-forge\n")
+    memory = io.BytesIO()
+    with open(tmp_path / "write-only.stl", "wb") as fh, open(os.devnull, "w+b") as null:
+        for out in (WriteLog(fh), WriteLog(null), WriteLog(memory)):
+            text = write_stl(mesh, "ascii", out=out)
+            assert isinstance(text, bytearray) and text == expected and len(text) == len(expected)
+            assert out.writes == [expected[:head], expected[head:]]
+    assert (tmp_path / "write-only.stl").read_bytes() == memory.getvalue() == expected
 
 
 def test_read_keeps_every_byte_of_a_writable_buffer(tmp_path, monkeypatch):
@@ -1475,6 +1523,15 @@ def test_binary_write_peak(torus_6x12):
 def test_ascii_write_peak(torus_6x12):
     # every chunk's text kept in a list and then joined into a second copy reaches 525
     assert peak_bytes_per_triangle(lambda mesh: write_stl(mesh, "ascii"), torus_6x12) < 450
+
+
+def test_ascii_write_to_a_file_peak(torus_6x12, tmp_path):
+    # the whole text made before one write reaches about 290, and the streamed text
+    # beside np.unique's int64 inverse of every normal's bits 118; the blocks, the
+    # normals and their int32 indices reach about 83
+    with open(tmp_path / "t.stl", "w+b") as fh:
+        write = partial(write_stl, mode="ascii", out=fh)
+        assert peak_bytes_per_triangle(lambda mesh: len(write(mesh)), torus_6x12) < 100
 
 
 def test_read_peak(torus_6x12):
