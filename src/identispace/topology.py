@@ -1,21 +1,30 @@
 """Integer chain complexes, Smith normal form, homology and exactness checks.
 
-Matrices are numpy object arrays holding Python ints, so all arithmetic is
-arbitrary precision; Smith normal form entries can blow up well past 64 bits
+Boundary maps are stored as sparse columns, one {row: int} dict of nonzero
+entries per column.  ``boundary_matrix`` returns an int64 matrix, whose
+entries are bounded by k + 1 for k-simplices; every map is read into columns
+once, and all arithmetic after that read is on Python ints, so it is
+arbitrary precision: Smith normal form entries can blow up well past 64 bits
 even for small inputs, and a silent wrap would corrupt torsion coefficients.
+``intmat``, ``zeros_mat``, ``identity_mat`` and ``smith_normal_form`` work
+on numpy object arrays holding Python ints.
 
 Conventions: boundary matrices have one column per k-cell and one row per
 (k-1)-cell; H_k = ker d_k / im d_{k+1}; ranks are counted over the rationals.
 
 H_k is the failure of exactness at C_k in 0 -> C_dim -> ... -> C_0 -> 0, so
-``verify_exact`` is the one engine: it scans each map of a sequence into
-sparse columns once, checks on them, in exact integers, that consecutive
-maps compose to zero, and reduces each map once.  A reduction eliminates +-1
-pivots (each contributes an invariant factor 1 and leaves the Schur
-complement), then runs ``smith_normal_form`` on the small non-unit remainder.
-A ``ChainComplex`` runs its boundary sequence through ``verify_exact`` when
-it is built; its d∘d = 0 check and H_0..H_dim read those verdicts.
-``smith_normal_form`` itself still returns the full D, U and V.
+``verify_exact`` is the one engine: it reads each map of a sequence into
+sparse columns once (a dense matrix is scanned, given columns are checked),
+checks on them, in exact integers, that consecutive maps compose to zero,
+and reduces each map once.  A map whose entries are +-1, at most two in
+every column or else in every row, is the incidence matrix of a signed
+graph, and a union-find gives its invariant factors.  Any other reduction
+eliminates +-1 pivots (each contributes an invariant factor 1 and leaves the
+Schur complement), then runs ``smith_normal_form`` on the small non-unit
+remainder.  A ``ChainComplex`` stores its boundary maps as columns and runs
+them through the engine when it is built; its d∘d = 0 check and H_0..H_dim
+read those verdicts.  ``smith_normal_form`` itself still returns the full D,
+U and V.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ __all__ = [
     "zeros_mat",
     "identity_mat",
     "boundary_matrix",
+    "boundary_columns",
     "ChainComplex",
     "SpaceName",
     "builtin_complex",
@@ -82,12 +92,45 @@ def identity_mat(n: int) -> np.ndarray:
 
 
 def _sparse_columns(a: np.ndarray) -> list[dict[int, int]]:
-    """The nonzeros of each column of ``a`` as {row: Python int}."""
-    cols: list[dict[int, int]] = [{} for _ in range(a.shape[1])]
-    rows, idx = np.nonzero(a != 0)
-    for i, j, x in zip(rows.tolist(), idx.tolist(), a[rows, idx].tolist()):
-        cols[j][i] = _exact_int(x)
-    return cols
+    """The nonzeros of each column of the dense matrix ``a`` as {row: Python int}.
+
+    Every dtype is scanned with ``np.nonzero(a != 0)`` (on int64 that is
+    faster than ``np.nonzero(a)``); an integer array's entries are read as
+    they are, any other dtype's each through ``_exact_int``.
+    """
+    rows, cols = np.nonzero(a != 0)
+    values = a[rows, cols].tolist()
+    if a.dtype.kind not in "iu":
+        values = [_exact_int(x) for x in values]
+    out: list[dict[int, int]] = [{} for _ in range(a.shape[1])]
+    for i, j, x in zip(rows.tolist(), cols.tolist(), values):
+        out[j][i] = x
+    return out
+
+
+def _read_map(f) -> tuple[int, list[dict[int, int]]]:
+    """One map as its row count and sparse columns.
+
+    ``f`` is a dense matrix, scanned once by ``_sparse_columns``, or a pair
+    (row count, columns) of {row: int} dicts.  Given columns are copied: each
+    row must lie in range and each entry be an integer, and zeros are dropped.
+    """
+    if isinstance(f, tuple) and len(f) == 2 and isinstance(f[0], (int, np.integer)):
+        nrows, cols = int(f[0]), []
+        for col in f[1]:
+            kept = {}
+            for r, x in col.items():
+                if not (isinstance(r, (int, np.integer)) and 0 <= r < nrows):
+                    raise ValueError(f"row {r!r} of a column is outside 0..{nrows - 1}")
+                x = _exact_int(x)
+                if x:
+                    kept[int(r)] = x
+            cols.append(kept)
+        return nrows, cols
+    a = f if isinstance(f, np.ndarray) and f.dtype.kind in "iu" else np.asarray(f, dtype=object)
+    if a.ndim != 2:
+        raise ValueError(f"a map must be a matrix, not an array of shape {a.shape}")
+    return a.shape[0], _sparse_columns(a)
 
 
 def _composes_to_zero(a_cols: list[dict[int, int]], b_cols: list[dict[int, int]]) -> bool:
@@ -105,50 +148,85 @@ def _composes_to_zero(a_cols: list[dict[int, int]], b_cols: list[dict[int, int]]
     return True
 
 
+def _incidences(
+    simplices: Sequence[tuple], faces: Sequence[tuple]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and sign of every face of every simplex, in one pass.
+
+    The j-th face of (s_0, ..., s_k) drops s_j and enters with sign (-1)^j.
+    Faces are matched by exact tuple equality.
+    """
+    index = {tuple(f): r for r, f in enumerate(faces)}
+    if len(index) != len(faces):
+        seen: set[tuple] = set()
+        for f in map(tuple, faces):
+            if f in seen:
+                raise ValueError(f"duplicate face generator {f!r}")
+            seen.add(f)
+    simplices = [tuple(s) for s in simplices]
+    lengths = np.array([len(s) for s in simplices], dtype=np.intp)
+    cols = np.repeat(np.arange(len(simplices)), lengths)
+    drop = np.arange(len(cols)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rows = [index.get(s[:j] + s[j + 1 :]) for s in simplices for j in range(len(s))]
+    if None in rows:
+        t = rows.index(None)
+        s, j = simplices[cols[t]], drop[t]
+        raise ValueError(f"face {s[:j] + s[j + 1:]!r} of simplex {s!r} not in face list")
+    return np.array(rows, dtype=np.intp), cols, 1 - 2 * (drop & 1)
+
+
 def boundary_matrix(
     simplices: Sequence[tuple], faces: Sequence[tuple]
 ) -> np.ndarray:
-    """Signed incidence matrix of ordered simplices over an ordered face list.
+    """Signed int64 incidence matrix of ordered simplices over an ordered face list.
 
     The j-th face of (s_0, ..., s_k) drops s_j and enters with sign (-1)^j.
     Faces are matched by exact tuple equality, so identified cells (the same
     tuple appearing as several faces of one simplex) accumulate coefficients,
-    which is what makes quotient-square complexes work.
+    which is what makes quotient-square complexes work; an entry is at most
+    k + 1 in size.
     """
-    index: dict[tuple, int] = {}
-    for r, f in enumerate(faces):
-        f = tuple(f)
-        if f in index:
-            raise ValueError(f"duplicate face generator {f!r}")
-        index[f] = r
-    mat = zeros_mat(len(faces), len(simplices))
-    for c, s in enumerate(simplices):
-        s = tuple(s)
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            if face not in index:
-                raise ValueError(f"face {face!r} of simplex {s!r} not in face list")
-            mat[index[face], c] += (-1) ** j
+    rows, cols, signs = _incidences(simplices, faces)
+    mat = np.zeros((len(faces), len(simplices)), dtype=np.int64)
+    np.add.at(mat, (rows, cols), signs)
     return mat
+
+
+def boundary_columns(
+    simplices: Sequence[tuple], faces: Sequence[tuple]
+) -> list[dict[int, int]]:
+    """``boundary_matrix(simplices, faces)`` as sparse columns: for each simplex,
+    its nonzero entries as {row: int}.  ``(len(faces), columns)`` is a map that
+    ``ChainComplex`` and ``verify_exact`` take as is."""
+    rows, cols, signs = _incidences(simplices, faces)
+    out: list[dict[int, int]] = [{} for _ in range(len(simplices))]
+    for r, c, x in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+        col = out[c]
+        y = col.get(r, 0) + x
+        if y:
+            col[r] = y
+        else:
+            del col[r]
+    return out
 
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Boundary matrices d_1..d_dim plus generator labels for degrees 0..dim."""
+    """Boundary maps d_1..d_dim plus generator labels for degrees 0..dim.
 
-    boundaries: tuple[np.ndarray, ...]
+    Each map is a dense matrix or a pair (row count, columns) of {row: int}
+    dicts, as ``boundary_columns`` gives them.  ``boundaries`` keeps what was
+    passed.  The complex reads each map once into sparse columns, which it
+    stores and reduces; ``boundary(k)`` builds a dense matrix from them.
+    """
+
+    boundaries: tuple[np.ndarray | tuple[int, Sequence[dict[int, int]]], ...]
     labels: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.boundaries) + 1:
             raise ValueError("need one label tuple per degree 0..dim")
-        for k, mat in enumerate(self.boundaries, start=1):
-            expected = (len(self.labels[k - 1]), len(self.labels[k]))
-            if mat.shape != expected:
-                raise ValueError(
-                    f"boundary {k} has shape {mat.shape}, expected {expected}"
-                )
-        verdicts = self._verdicts  # read in every dimension: a bad entry fails here
+        verdicts = self._verdicts  # reads every map: a bad shape or entry fails here
         for k in range(2, len(self.labels)):
             if not verdicts[self.dimension + 1 - k].composition_zero:
                 raise ValueError(f"d_{k-1} @ d_{k} != 0")
@@ -161,19 +239,36 @@ class ChainComplex:
         return len(self.labels[k])
 
     def boundary(self, k: int) -> np.ndarray:
-        """d_k for 0 <= k <= dim+1; degree 0 and dim+1 are zero maps."""
-        if k == 0:
-            return zeros_mat(0, len(self.labels[0]))
-        if k == self.dimension + 1:
-            return zeros_mat(len(self.labels[self.dimension]), 0)
-        if not 1 <= k <= self.dimension:
+        """d_k for 0 <= k <= dim+1 as a new object matrix, built from the stored
+        columns; degree 0 and dim+1 are zero maps."""
+        if not 0 <= k <= self.dimension + 1:
             raise ValueError(f"no boundary map in degree {k}")
-        return self.boundaries[k - 1]
+        nrows, cols = self._columns[k]
+        mat = zeros_mat(nrows, len(cols))
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                mat[i, j] = x
+        return mat
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, list[dict[int, int]]], ...]:
+        """Row count and sparse columns of d_0..d_{dim+1}."""
+        maps = [(0, [{} for _ in self.labels[0]])]
+        for k, f in enumerate(self.boundaries, start=1):
+            nrows, cols = _read_map(f)
+            expected = (len(self.labels[k - 1]), len(self.labels[k]))
+            if (nrows, len(cols)) != expected:
+                raise ValueError(
+                    f"boundary {k} has shape {(nrows, len(cols))}, expected {expected}"
+                )
+            maps.append((nrows, cols))
+        maps.append((len(self.labels[-1]), []))
+        return tuple(maps)
 
     @cached_property
     def _verdicts(self) -> list[ExactnessVerdict]:
         """Exactness of 0 -> C_dim -> ... -> C_0 -> 0; index dim - k is at C_k."""
-        return verify_exact([self.boundary(k) for k in range(self.dimension + 1, -1, -1)])
+        return _exactness(self._columns[::-1])
 
 
 class SpaceName(Enum):
@@ -362,6 +457,84 @@ def smith_normal_form(a: np.ndarray) -> SNFResult:
 
 def _invariant_factors(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
     """Rank and invariant factors above 1 of the matrix a with these sparse
+    columns, which are left unchanged: a signed graph's by its union-find,
+    any other by elimination."""
+    graph = _signed_graph_factors(columns)
+    return _eliminated_factors(columns) if graph is None else graph
+
+
+def _signed_graph_factors(
+    columns: list[dict[int, int]],
+) -> tuple[int, tuple[int, ...]] | None:
+    """Rank and invariant factors above 1 of a signed graph's incidence matrix,
+    or None if the matrix with these sparse columns is not one.
+
+    It is one if its entries are all +-1 and every column, or else every row,
+    holds at most two of them.  Each such column (or row) is a line: one with
+    two entries joins its two ends, with parity 1 when their signs agree, and
+    one with a single entry marks its end.  Negating rows and columns keeps
+    the invariant factors, and on a component with n ends and no cycle of odd
+    parity it leaves a directed graph's incidence matrix: rank n - 1, factors
+    1.  A mark adds a unit vector: rank n, factors 1.  An odd cycle without a
+    mark spans the vectors of even coordinate sum: rank n, one factor 2.  A
+    union-find that keeps each end's parity to its parent finds all three.
+    """
+    if set().union(*(col.values() for col in columns)) - {1, -1}:
+        return None
+    if all(len(col) <= 2 for col in columns):
+        lines = [col.items() for col in columns]
+        ends = set().union(*columns)
+    else:
+        by_row: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                by_row[i].append((j, x))
+        lines = by_row.values()
+        if any(len(line) > 2 for line in lines):
+            return None
+        ends = {j for j, col in enumerate(columns) if col}
+
+    parent: dict[int, int] = {}  # roots have no entry
+    parity: dict[int, int] = {}  # of an end relative to its parent
+    size: dict[int, int] = {}  # of a root's tree, when above 1; keeps trees shallow
+
+    def root(v: int) -> int:
+        while v in parent:
+            v = parent[v]
+        return v
+
+    components = len(ends)
+    odd, marked = [], []
+    for line in lines:
+        if len(line) == 2:
+            (u, x), (v, y) = line
+            p = x == y  # becomes the parity of the cycle, or of u's root to v's
+            while u in parent:
+                p ^= parity[u]
+                u = parent[u]
+            while v in parent:
+                p ^= parity[v]
+                v = parent[v]
+            if u == v:
+                if p:
+                    odd.append(u)
+                continue
+            su, sv = size.get(u, 1), size.get(v, 1)
+            if su > sv:
+                u, v = v, u
+            parent[u], parity[u], size[v] = v, p, su + sv
+            components -= 1
+        elif line:
+            ((u, _),) = line
+            marked.append(u)
+    marked_roots = {root(v) for v in marked}
+    odd_roots = {root(v) for v in odd} - marked_roots
+    balanced = components - len(odd_roots) - len(marked_roots)
+    return len(ends) - balanced, (2,) * len(odd_roots)
+
+
+def _eliminated_factors(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors above 1 of any matrix with these sparse
     columns, which are left unchanged.
 
     Unit pivots are eliminated one at a time on per-column dicts: a pivot
@@ -466,30 +639,36 @@ class ExactnessVerdict:
     exact: bool
 
 
-def verify_exact(fs: Sequence[np.ndarray]) -> list[ExactnessVerdict]:
+def verify_exact(
+    fs: Sequence[np.ndarray | tuple[int, Sequence[dict[int, int]]]],
+) -> list[ExactnessVerdict]:
     """Check exactness at each interior position of a composable sequence.
 
-    ``fs`` lists the maps left to right: X_0 -fs[0]-> X_1 -fs[1]-> ...
-    Position p sits between fs[p-1] (incoming) and fs[p] (outgoing).  Beyond
-    the rational rank condition, the quotient ker/im comes from the invariant
-    factors of the incoming map, so purely torsion-level failures are caught
-    too.
+    ``fs`` lists the maps left to right: X_0 -fs[0]-> X_1 -fs[1]-> ...  Each
+    map is a dense matrix or a pair (row count, columns) of {row: int} dicts;
+    each is read into sparse columns once.  Position p sits between fs[p-1]
+    (incoming) and fs[p] (outgoing).  Beyond the rational rank condition, the
+    quotient ker/im comes from the invariant factors of the incoming map, so
+    purely torsion-level failures are caught too.
     """
-    mats = [np.asarray(f, dtype=object) for f in fs]
-    for prev, nxt in zip(mats, mats[1:]):
-        if nxt.shape[1] != prev.shape[0]:
+    return _exactness([_read_map(f) for f in fs])
+
+
+def _exactness(maps: Sequence[tuple[int, list[dict[int, int]]]]) -> list[ExactnessVerdict]:
+    """``verify_exact`` on maps already read into (row count, sparse columns)."""
+    for (m, prev), (k, nxt) in zip(maps, maps[1:]):
+        if len(nxt) != m:
             raise ValueError(
-                f"shapes do not compose: {prev.shape} then {nxt.shape}"
+                f"shapes do not compose: {(m, len(prev))} then {(k, len(nxt))}"
             )
-    cols = [_sparse_columns(m) for m in mats]
-    factors = [_invariant_factors(c) for c in cols]
+    factors = [_invariant_factors(cols) for _, cols in maps]
     verdicts = []
-    for p in range(1, len(mats)):
-        if not _composes_to_zero(cols[p], cols[p - 1]):
+    for p in range(1, len(maps)):
+        if not _composes_to_zero(maps[p][1], maps[p - 1][1]):
             verdicts.append(ExactnessVerdict(p, False, None, False))
             continue
         rank_in, torsion = factors[p - 1]
         rank_out, _ = factors[p]
-        quotient = AbelianGroup(mats[p].shape[1] - rank_out - rank_in, torsion)
+        quotient = AbelianGroup(maps[p - 1][0] - rank_out - rank_in, torsion)
         verdicts.append(ExactnessVerdict(p, True, quotient, quotient.is_trivial))
     return verdicts

@@ -377,8 +377,9 @@ def quotient_grid(space: str, width: int, height: int, rng: random.Random | None
 
 
 def plan_complex(spec):
-    """Boundary matrices d1, d2 of the cell complex a segment plan traces, and
-    the number of grid squares dropped as repeats.
+    """Boundary maps d1, d2 of the cell complex a segment plan traces, each as
+    (row count, {row: int} columns), and the number of grid squares dropped as
+    repeats.
 
     Vertices are the distinct float32 bit patterns of the segment ends.  Each
     distinct pair of distinct welded ends is an edge, oriented from its lower
@@ -416,13 +417,8 @@ def plan_complex(spec):
             seen.update({key, tuple((e, -x) for e, x in key)})
             chains.append(key)
 
-    d1 = np.zeros((int(welded.max()) + 1, len(edges)), dtype=np.int64)
-    d1[edges[:, 0], np.arange(len(edges))] = -1
-    d1[edges[:, 1], np.arange(len(edges))] = 1
-    d2 = np.zeros((len(edges), len(chains)), dtype=np.int64)
-    for f, key in enumerate(chains):
-        for e, x in key:
-            d2[e, f] = x
+    d1 = (int(welded.max()) + 1, [{lo: -1, hi: 1} for lo, hi in edges.tolist()])
+    d2 = (len(edges), [dict(key) for key in chains])
     return d1, d2, dropped
 
 

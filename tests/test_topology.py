@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import numpy as np
@@ -50,6 +52,17 @@ def complex_from_levels(levels) -> ChainComplex:
     return ChainComplex(boundaries, labels)
 
 
+def as_columns(a):
+    """A dense matrix as the pair (row count, {row: int} columns), read entry by entry."""
+    m, n = a.shape
+    return m, [{i: int(a[i, j]) for i in range(m) if a[i, j]} for j in range(n)]
+
+
+def columns_complex(c: ChainComplex) -> ChainComplex:
+    """``c`` with every boundary map given as columns."""
+    return ChainComplex(tuple(as_columns(c.boundary(k)) for k in range(1, c.dimension + 1)), c.labels)
+
+
 # --- boundary_matrix ---------------------------------------------------------
 
 
@@ -82,6 +95,40 @@ def test_missing_face_rejected():
 def test_duplicate_generator_rejected():
     with pytest.raises(ValueError):
         boundary_matrix([(0, 1)], [(0,), (1,), (0,)])
+
+
+def test_boundary_matrix_is_int64():
+    mat = boundary_matrix([(0, 1, 2)], [(1, 2), (0, 2), (0, 1)])
+    assert mat.dtype == np.int64
+
+
+BOUNDARY_CASES = {
+    "edge": ([("s", "t")], [("s",), ("t",)]),
+    "loop": ([("v", "v")], [("v",)]),
+    "triangle": ([(0, 1, 2)], [(1, 2), (0, 2), (0, 1)]),
+    "none": ([], [(0,), (1,)]),
+    # a quotient-square cell whose two faces coincide: their signs add to 0 and 2
+    "folded": ([(0, 1, 0), (0, 0, 1)], [(1, 0), (0, 0), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("simplices,faces", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES)
+def test_boundary_columns_agree_with_boundary_matrix(simplices, faces):
+    cols = topology.boundary_columns(simplices, faces)
+    assert (len(faces), cols) == as_columns(boundary_matrix(simplices, faces))
+    assert all(type(x) is int for col in cols for x in col.values())
+
+
+def test_boundary_columns_of_a_loop_edge_is_a_zero_column():
+    assert topology.boundary_columns([("v", "v")], [("v",)]) == [{}]
+
+
+@pytest.mark.parametrize("call", [boundary_matrix, topology.boundary_columns])
+def test_boundary_columns_reject_what_boundary_matrix_rejects(call):
+    with pytest.raises(ValueError, match=r"^face \(0, 2\) of simplex \(0, 1, 2\) not in face list$"):
+        call([(0, 1, 2)], [(1, 2), (0, 1)])
+    with pytest.raises(ValueError, match=r"^duplicate face generator \(0,\)$"):
+        call([(0, 1)], [(0,), (1,), (0,)])
 
 
 # --- builtin complexes -------------------------------------------------------
@@ -227,16 +274,33 @@ def dense_key(a):
 
 @pytest.mark.parametrize("name", list(SpaceName))
 def test_homology_reduces_each_boundary_map_once(monkeypatch, name):
-    # building the complex and H_0..H_dim, asked twice, scan and reduce
-    # d_0..d_{dim+1} once each
+    # building the complex and H_0..H_dim, asked twice, scan each dense map
+    # once and columns never, and reduce d_0..d_{dim+1} once each
     scanned = recorded_calls(monkeypatch, "_sparse_columns")
     reduced = recorded_calls(monkeypatch, "_invariant_factors")
-    c = builtin_complex(name)
-    groups = [homology(c, k) for k in range(c.dimension + 1)]
-    assert [homology(c, k) for k in range(c.dimension + 1)] == groups
-    maps = sorted(dense_key(c.boundary(k)) for k in range(c.dimension + 2))
-    assert sorted(dense_key(a) for a in scanned) == maps
-    assert sorted(columns_key(cols) for cols in reduced) == maps
+    for given in (builtin_complex(name), columns_complex(builtin_complex(name))):
+        scanned.clear()
+        reduced.clear()
+        c = ChainComplex(given.boundaries, given.labels)
+        groups = [homology(c, k) for k in range(c.dimension + 1)]
+        assert [homology(c, k) for k in range(c.dimension + 1)] == groups
+        dense = [f for f in given.boundaries if isinstance(f, np.ndarray)]
+        assert [dense_key(a) for a in scanned] == [dense_key(a) for a in dense]
+        maps = sorted(dense_key(c.boundary(k)) for k in range(c.dimension + 2))
+        assert sorted(columns_key(cols) for cols in reduced) == maps
+    assert not dense  # the second complex was given columns only
+
+
+def test_only_sparse_columns_scans_a_dense_matrix():
+    # a second search for the nonzeros of a dense matrix would scan a map twice,
+    # or skip _exact_int on a float or object dtype
+    tree = ast.parse(pathlib.Path(topology.__file__).read_text(encoding="utf-8"))
+    readers = {"nonzero", "flatnonzero", "argwhere", "count_nonzero", "flat", "nditer"}
+    scanning = {function.name for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef)
+                and any(isinstance(node, ast.Attribute) and node.attr in readers
+                        for node in ast.walk(function))}
+    assert scanning == {"_sparse_columns"}
 
 
 def test_homology_degree_out_of_range():
@@ -277,6 +341,73 @@ def test_chain_complex_names_the_lowest_nonzero_square(maps, message):
         ChainComplex(tuple(intmat(m) for m in maps), labels)
 
 
+# --- complexes given as columns ---------------------------------------------
+
+
+def complex_pairs():
+    """The same complexes built from dense matrices and from columns."""
+    levels = [quotient_grid(space, 4, 6) for space in ("torus", "klein", "rp2")]
+    rng = random.Random(20261022)
+    levels += [random_delta_complex(rng) for _ in range(20)]
+    for level in levels:
+        labels = tuple(tuple(str(c) for c in cells) for cells in level)
+        columns = tuple((len(level[k - 1]), topology.boundary_columns(level[k], level[k - 1]))
+                        for k in range(1, len(level)))
+        yield complex_from_levels(level), ChainComplex(columns, labels)
+    for name in SpaceName:
+        yield builtin_complex(name), columns_complex(builtin_complex(name))
+
+
+def test_columns_and_dense_matrices_give_the_same_complex():
+    for dense, sparse in complex_pairs():
+        assert sparse._verdicts == dense._verdicts
+        for k in range(dense.dimension + 2):
+            a, b = dense.boundary(k), sparse.boundary(k)
+            assert a.dtype == b.dtype == object
+            assert a.shape == b.shape and a.tolist() == b.tolist()
+
+
+def test_boundary_is_a_new_matrix_each_time():
+    c = builtin_complex(SpaceName.PROJECTIVE_PLANE)
+    c.boundary(1)[0, 0] = 7
+    assert c.boundary(1).tolist() == [[-1, -1, 0], [1, 1, 0]]
+
+
+def test_zero_entries_of_given_columns_are_dropped():
+    (verdict,) = verify_exact([(1, [{0: 2}, {0: 0}]), (0, [{}])])
+    assert verdict.quotient == AbelianGroup(0, (2,))
+    c = ChainComplex(((2, [{0: -1, 1: 1}, {0: 0}]),), (("v", "w"), ("a", "b")))
+    assert [homology(c, k) for k in range(2)] == [AbelianGroup(1), AbelianGroup(1)]
+
+
+LABELS_2_1 = (("v", "w"), ("e",))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ChainComplex(((2, [{2: 1}]),), LABELS_2_1), r"row 2 of a column is outside 0\.\.1"),
+        (lambda: ChainComplex(((2, [{-1: 1}]),), LABELS_2_1), r"row -1 of a column is outside 0\.\.1"),
+        (lambda: ChainComplex(((2, [{0.0: 1}]),), LABELS_2_1), r"row 0\.0 of a column is outside 0\.\.1"),
+        (lambda: verify_exact([(1, [{1: 1}])]), r"row 1 of a column is outside 0\.\.0"),
+        (lambda: ChainComplex(((2, [{0: 0.5}]),), LABELS_2_1), r"matrix entry 0\.5 is not an integer"),
+        (lambda: verify_exact([(1, [{0: 0.5}])]), r"matrix entry 0\.5 is not an integer"),
+        (lambda: ChainComplex(((3, [{0: 1}]),), LABELS_2_1),
+         r"boundary 1 has shape \(3, 1\), expected \(2, 1\)"),
+        (lambda: ChainComplex(((2, [{0: 1}, {1: 1}]),), LABELS_2_1),
+         r"boundary 1 has shape \(2, 2\), expected \(2, 1\)"),
+        (lambda: verify_exact([(3, [{0: 1}]), (1, [{0: 1}, {0: 1}])]),
+         r"shapes do not compose: \(3, 1\) then \(1, 2\)"),
+    ],
+    ids=["complex-row-past-end", "complex-row-negative", "complex-row-float", "verify-row-past-end",
+         "complex-half", "verify-half", "complex-row-count", "complex-column-count",
+         "verify-row-count"],
+)
+def test_bad_columns_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 # --- integer entries ---------------------------------------------------------
 
 
@@ -293,11 +424,12 @@ def test_chain_complex_names_the_lowest_nonzero_square(maps, message):
         lambda: intmat([[float("inf")]]),
         lambda: intmat([[float("nan")]]),
         lambda: ChainComplex((np.array([[0.5]], dtype=object),), (("v",), ("e",))),
+        lambda: ChainComplex((np.array([[0.5]]),), (("v",), ("e",))),
     ],
     ids=[
         "verify_exact-half", "verify_exact-nan", "homology-half", "snf-fractions",
         "snf-inf", "intmat-fractions", "intmat-string", "intmat-inf", "intmat-nan",
-        "complex-half",
+        "complex-half", "complex-float-half",
     ],
 )
 def test_non_integer_entries_rejected(call):
@@ -311,6 +443,9 @@ def test_integral_entries_accepted():
     assert intmat([[2**100, 3.0]]).tolist() == [[2**100, 3]]
     verdicts = verify_exact([np.array([[2.0]]), np.array([[0.0]])])
     assert [v.quotient for v in verdicts] == [AbelianGroup(0, (2,))]
+    c = ChainComplex((np.array([[True, False]]),), (("v",), ("a", "b")))
+    assert [homology(c, k) for k in range(2)] == [AbelianGroup(0), AbelianGroup(1)]
+    assert c.boundary(1).tolist() == [[1, 0]]
 
 
 # --- random identification complexes ----------------------------------------
@@ -492,6 +627,83 @@ def test_verify_exact_matches_dense_snf_oracle(data):
     assert verdict.exact == quotient.is_trivial
 
 
+def signed_graph(n, lines):
+    """The incidence matrix on n ends with these lines as its columns."""
+    a = zeros_mat(n, len(lines))
+    for j, ends in enumerate(lines):
+        for i, x in ends:
+            a[i, j] = x
+    return a
+
+
+@st.composite
+def signed_graphs(draw):
+    """Dense incidence matrices of signed graphs on up to 7 ends: each line has
+    two +-1 entries, one (a mark) or none, and the lines are the columns or
+    the rows."""
+    n = draw(st.integers(0, 7))
+    end = st.tuples(st.integers(0, max(n - 1, 0)), st.sampled_from([1, -1]))
+    line = st.lists(end, max_size=2 if n else 0, unique_by=lambda e: e[0])
+    a = signed_graph(n, draw(st.lists(line, max_size=10)))
+    return a if draw(st.booleans()) else a.T.copy()
+
+
+ODD_TRIANGLE = [[(0, 1), (1, 1)], [(1, 1), (2, 1)], [(0, -1), (2, -1)]]
+SIGNED_GRAPHS = {
+    "odd-triangle": (signed_graph(3, ODD_TRIANGLE), (3, (2,))),
+    "even-triangle": (signed_graph(3, [[(0, 1), (1, -1)], [(1, 1), (2, -1)], [(0, -1), (2, 1)]]),
+                      (2, ())),
+    "two-lines-odd": (signed_graph(2, [[(0, 1), (1, 1)], [(0, 1), (1, -1)]]), (2, (2,))),
+    "two-lines-even": (signed_graph(2, [[(0, 1), (1, -1)], [(0, -1), (1, 1)]]), (1, ())),
+    "marked-odd-triangle": (signed_graph(3, ODD_TRIANGLE + [[(2, -1)]]), (3, ())),
+    "marked-path": (signed_graph(3, [[(0, 1), (1, -1)], [(1, 1), (2, 1)], [(2, 1)]]), (3, ())),
+    "components": (signed_graph(9, ODD_TRIANGLE + [[(3, 1), (4, -1)], [], [(5, 1), (6, 1)],
+                                                   [(5, -1), (6, 1)], [(7, -1)]]),
+                   (7, (2, 2))),
+    "zero-lines": (zeros_mat(3, 4), (0, ())),
+}
+
+
+@pytest.mark.parametrize("layout", ["columns", "rows"])
+@pytest.mark.parametrize("a,expected", SIGNED_GRAPHS.values(), ids=SIGNED_GRAPHS)
+def test_signed_graphs_reduce_without_elimination(monkeypatch, a, expected, layout):
+    a = a if layout == "columns" else a.T.copy()
+    assert snf_oracle(a) == expected
+    _, cols = as_columns(a)
+
+    def no_elimination(columns):
+        raise AssertionError("a signed graph went to the elimination")
+
+    monkeypatch.setattr(topology, "_eliminated_factors", no_elimination)
+    assert topology._invariant_factors(cols) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_graphs())
+def test_union_find_matches_elimination_and_dense_snf_oracle(a):
+    _, cols = as_columns(a)
+    graph = topology._signed_graph_factors(cols)
+    assert graph is not None
+    assert graph == topology._eliminated_factors(cols) == snf_oracle(a)
+
+
+NOT_SIGNED_GRAPHS = {
+    # an entry 2 where a line would have a sign
+    "two": signed_graph(3, [[(0, 1), (1, 2)], [(1, 1), (2, -1)]]),
+    # a line with three entries in each layout
+    "three": intmat([[1, 1, 1], [1, 1, -1], [1, -1, 1]]),
+    # rows of at most two entries, but not one of them a unit
+    "minus-two": intmat([[-2, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("a", NOT_SIGNED_GRAPHS.values(), ids=NOT_SIGNED_GRAPHS)
+def test_other_matrices_fall_back_to_elimination(a):
+    _, cols = as_columns(a)
+    assert topology._signed_graph_factors(cols) is None
+    assert topology._invariant_factors(cols) == topology._eliminated_factors(cols) == snf_oracle(a)
+
+
 # --- exactness ---------------------------------------------------------------
 
 
@@ -525,15 +737,20 @@ def test_nonzero_composition_reported():
 @pytest.mark.parametrize("name", list(SpaceName))
 def test_verify_exact_scans_and_reduces_each_map_once(monkeypatch, name):
     # the chain complex as a sequence 0 -> C_dim -> ... -> C_0 -> 0: each
-    # interior map is incoming at one position and outgoing at the next
+    # interior map is incoming at one position and outgoing at the next;
+    # dense maps are scanned once each, columns never
     c = builtin_complex(name)
     maps = [c.boundary(k) for k in range(c.dimension + 1, -1, -1)]
     scanned = recorded_calls(monkeypatch, "_sparse_columns")
     reduced = recorded_calls(monkeypatch, "_invariant_factors")
-    verdicts = verify_exact(maps)
-    assert [v.quotient for v in verdicts] == EXPECTED_HOMOLOGY[name][::-1]
-    assert [dense_key(a) for a in scanned] == [dense_key(a) for a in maps]
-    assert sorted(columns_key(cols) for cols in reduced) == sorted(dense_key(a) for a in maps)
+    for given in (maps, [as_columns(a) for a in maps]):
+        scanned.clear()
+        reduced.clear()
+        verdicts = verify_exact(given)
+        assert [v.quotient for v in verdicts] == EXPECTED_HOMOLOGY[name][::-1]
+        assert [dense_key(a) for a in scanned] == [dense_key(a) for a in given if isinstance(a, np.ndarray)]
+        assert sorted(columns_key(cols) for cols in reduced) == sorted(dense_key(a) for a in maps)
+    assert scanned == []
 
 
 def test_shape_mismatch_rejected():

@@ -376,20 +376,25 @@ def test_roman_pinch_columns_degenerate_to_spheres():
 
 
 @pytest.mark.parametrize(
-    "kind, cells, dropped, groups",
+    "kind, grid, cells, dropped, groups",
     [
         # the doubled i-range traces every torus square twice
-        (SurfaceKind.TORUS, (600, 640, 40), 40,
+        (SurfaceKind.TORUS, {"lat_ribs": 5, "long_ribs": 8}, (600, 640, 40), 40,
          (AbelianGroup(1), AbelianGroup(2), AbelianGroup(1))),
-        (SurfaceKind.KLEIN, (1200, 1280, 80), 0,
+        (SurfaceKind.KLEIN, {"lat_ribs": 5, "long_ribs": 8}, (1200, 1280, 80), 0,
+         (AbelianGroup(1), AbelianGroup(1, (2,)), AbelianGroup(0))),
+        (SurfaceKind.TORUS, {}, (9720, 10368, 648), 648,
+         (AbelianGroup(1), AbelianGroup(2), AbelianGroup(1))),
+        (SurfaceKind.KLEIN, {}, (19440, 20736, 1296), 0,
          (AbelianGroup(1), AbelianGroup(1, (2,)), AbelianGroup(0))),
     ],
-    ids=["torus", "klein"],
+    ids=["torus", "klein", "torus-default", "klein-default"],
 )
-def test_plan_complex_homology(kind, cells, dropped, groups):
-    # the wireframe the planner lays out, welded on float32 bits, is the surface
-    d1, d2, repeats = plan_complex(WireframeSpec(SurfaceParams(kind, lat_ribs=5, long_ribs=8)))
-    assert (d1.shape[0], *d2.shape) == cells
+def test_plan_complex_homology(kind, grid, cells, dropped, groups):
+    # the wireframe the planner lays out, welded on float32 bits, is the surface;
+    # at the default grid only columns fit: a dense Klein d1 would hold 403 M entries
+    d1, d2, repeats = plan_complex(WireframeSpec(SurfaceParams(kind, **grid)))
+    assert (d1[0], d2[0], len(d2[1])) == cells
     assert repeats == dropped
     labels = tuple(tuple(f"{c}{n}" for n in range(size)) for c, size in zip("vef", cells))
     complex_ = ChainComplex((d1, d2), labels)
